@@ -9,6 +9,7 @@ import sys
 import click
 
 from .data import CenterSpec, generate_center, load_folder, save_dataset, split_dataset
+from .errors import ConfigError
 from .gradchecks import run_suite
 from .train import TrainConfig, evaluate, generalization_report, predict, train
 
@@ -16,7 +17,10 @@ from .train import TrainConfig, evaluate, generalization_report, predict, train
 def _threads_override(threads):
     env = os.environ.get("GMSRF_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"GMSRF_THREADS must be an integer, got {env!r}") from None
     return threads
 
 

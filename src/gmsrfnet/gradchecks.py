@@ -75,6 +75,9 @@ def op_checks(rng):
     results.append(_check("conv2d_3x3_p1", lambda: _sq_mean(T.conv2d(x, w, b, 1, 1)), [x, w, b]))
     results.append(_check("conv2d_stride2", lambda: _sq_mean(T.conv2d(x, w, b, 2, 1)), [x, w, b]))
     results.append(_check("conv2d_dilated", lambda: _sq_mean(T.conv2d(x, w, b, 1, 2, 2)), [x, w, b]))
+    results.append(_check("conv2d_dilated_d3", lambda: _sq_mean(T.conv2d(x, w, b, 1, 3, 3)), [x, w, b]))
+    w1 = _rand(rng, (4, 3, 1, 1))
+    results.append(_check("conv2d_1x1", lambda: _sq_mean(T.conv2d(x, w1, b)), [x, w1, b]))
 
     xt = _rand(rng, (2, 3, 4, 4))
     wt = _rand(rng, (3, 4, 4, 4))

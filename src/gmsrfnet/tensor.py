@@ -19,10 +19,6 @@ from .errors import NumericsError, ShapeError, StateError, UsageError
 
 DEFAULT_DTYPE = np.float32
 
-# Test hook: when nonzero, this offset is added to conv2d weight gradients so
-# the gradient checker can be shown to catch a wrong analytic gradient.
-_CONV_GRAD_CORRUPTION = 0.0
-
 
 class Graph:
     """Recorded operation tape. Node order is recording order, which is a
@@ -257,6 +253,20 @@ def _check_same_shape(op, x, y):
         raise ShapeError(f"{op}: shapes {x.shape} and {y.shape} differ")
 
 
+def _pad(a, ph, pw):
+    """Zero-pad the spatial axes by ph rows and pw columns on each side; a
+    negative amount crops that axis instead."""
+    n, c, h, w = a.shape
+    a = a[:, :, max(-ph, 0) : h - max(-ph, 0), max(-pw, 0) : w - max(-pw, 0)]
+    ph, pw = max(ph, 0), max(pw, 0)
+    if not (ph or pw):
+        return a
+    h, w = a.shape[2:]
+    out = np.zeros((n, c, h + 2 * ph, w + 2 * pw), a.dtype)
+    out[:, :, ph : ph + h, pw : pw + w] = a
+    return out
+
+
 def _im2col(xp, kh, kw, stride, dilation, out_h, out_w):
     """Gather sliding windows of a padded input into (N, C, kh, kw, out_h, out_w)."""
     n, c = xp.shape[:2]
@@ -293,6 +303,13 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
 
     weight is (Cout, Cin, Kh, Kw); bias, when given, is a (1, Cout, 1, 1)
     tensor. Output spatial size is floor((H + 2p - d*(K-1) - 1)/s) + 1.
+
+    The geometry picks one of three paths. A 1x1 kernel at stride 1 without
+    padding is a plain channel matmul in both directions. Other stride-1
+    convolutions gather windows for the forward, and compute the input
+    gradient as the correlation of the upstream gradient, padded by
+    d*(K-1) - p, with the spatially flipped, channel-transposed kernel.
+    Strided convolutions scatter the input gradient back with _col2im.
     """
     if stride < 1 or padding < 0 or dilation < 1:
         raise UsageError(f"conv2d: bad stride/padding/dilation ({stride}, {padding}, {dilation})")
@@ -310,27 +327,33 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
     if bias is not None and bias.shape != (1, cout, 1, 1):
         raise ShapeError(f"conv2d: bias shape {bias.shape} does not match {cout} output channels")
 
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
-    cols = _im2col(xp, kh, kw, stride, dilation, out_h, out_w)
-    cols_mat = cols.reshape(n, cin * kh * kw, out_h * out_w)
     w_mat = weight.data.reshape(cout, -1)
+    pointwise = kh == kw == 1 and stride == 1 and padding == 0
+    if pointwise:
+        cols_mat = x.data.reshape(n, cin, h * w)
+    else:
+        cols = _im2col(_pad(x.data, padding, padding), kh, kw, stride, dilation, out_h, out_w)
+        cols_mat = cols.reshape(n, cin * kh * kw, out_h * out_w)
     y = np.matmul(w_mat, cols_mat).reshape(n, cout, out_h, out_w)
     if bias is not None:
         y += bias.data
 
-    xp_shape = xp.shape
+    def input_grad(g, g_mat):
+        if pointwise:
+            return np.matmul(w_mat.T, g_mat).reshape(x.shape)
+        if stride == 1:
+            gp = _pad(g, dilation * (kh - 1) - padding, dilation * (kw - 1) - padding)
+            g_cols = _im2col(gp, kh, kw, 1, dilation, h, w).reshape(n, cout * kh * kw, h * w)
+            w_flip = w_mat.reshape(weight.shape)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            return np.matmul(w_flip.reshape(cin, -1), g_cols).reshape(x.shape)
+        g_cols = np.matmul(w_mat.T, g_mat).reshape(n, cin, kh, kw, out_h, out_w)
+        g_xp = _col2im(g_cols, (n, cin, h + 2 * padding, w + 2 * padding), stride, dilation)
+        return g_xp[:, :, padding : padding + h, padding : padding + w]
 
     def backward_fn(g):
         g_mat = g.reshape(n, cout, -1)
         g_w = np.matmul(g_mat, cols_mat.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
-        if _CONV_GRAD_CORRUPTION:
-            g_w = g_w + _CONV_GRAD_CORRUPTION
-        g_cols = np.matmul(w_mat.T, g_mat).reshape(cols.shape)
-        g_xp = _col2im(g_cols, xp_shape, stride, dilation)
-        g_x = g_xp[:, :, padding : padding + h, padding : padding + w] if padding else g_xp
+        g_x = input_grad(g, g_mat)
         if bias is not None:
             g_b = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1)
             return g_x, g_w, g_b
@@ -372,7 +395,7 @@ def conv_transpose2d(x, weight, bias=None, stride=1, padding=0):
         y += bias.data
 
     def backward_fn(g):
-        gp = np.pad(g, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else g
+        gp = _pad(g, padding, padding)
         g_cols = _im2col(gp, kh, kw, stride, 1, h, w).reshape(n, cout * kh * kw, h * w)
         g_x = np.matmul(w_mat, g_cols).reshape(x.shape)
         g_w = np.matmul(x_mat, g_cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)

@@ -32,6 +32,27 @@ def conv2d_loops(x, w, b=None, stride=1, padding=0, dilation=1):
     return y
 
 
+def conv2d_input_grad_loops(g, w, x_shape, stride=1, padding=0, dilation=1):
+    """Adjoint of conv2d in its input: each upstream gradient element flows
+    back, weighted by the kernel tap, to every input pixel its window read."""
+    n, cin, h, wid = x_shape
+    cout, _, kh, kw = w.shape
+    out_h, out_w = g.shape[2:]
+    gx = np.zeros(x_shape, np.float64)
+    for ni in range(n):
+        for co in range(cout):
+            for i in range(out_h):
+                for j in range(out_w):
+                    for ci in range(cin):
+                        for u in range(kh):
+                            for v in range(kw):
+                                r = i * stride - padding + u * dilation
+                                c = j * stride - padding + v * dilation
+                                if 0 <= r < h and 0 <= c < wid:
+                                    gx[ni, ci, r, c] += float(g[ni, co, i, j]) * float(w[co, ci, u, v])
+    return gx
+
+
 def conv_transpose2d_loops(x, w, b=None, stride=1, padding=0):
     """Scatter-accumulate transposed convolution over the definition."""
     n, cin, h, wid = x.shape
@@ -131,3 +152,25 @@ def adam_first_step(theta, g, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     m_hat = g                      # m1 / (1 - beta1)
     v_hat = g * g                  # v1 / (1 - beta2)
     return theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def adam_steps_loops(params, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam over per-parameter arrays, one tensor at a time.
+
+    params maps name -> array; grad_steps holds one name -> gradient dict per
+    step. Returns the updated parameters and the m and v moments, as dicts.
+    """
+    params = {name: p.copy() for name, p in params.items()}
+    m = {name: np.zeros_like(p) for name, p in params.items()}
+    v = {name: np.zeros_like(p) for name, p in params.items()}
+    for t, grads in enumerate(grad_steps, start=1):
+        bc1 = 1.0 - beta1**t
+        bc2 = 1.0 - beta2**t
+        for name, p in params.items():
+            g = grads[name]
+            m[name] *= beta1
+            m[name] += (1.0 - beta1) * g
+            v[name] *= beta2
+            v[name] += (1.0 - beta2) * (g * g)
+            p -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+    return params, m, v

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from gmsrfnet.cli import main
 from gmsrfnet.data import default_center_a, generate_center, write_pnm
+from gmsrfnet.errors import ConfigError
 
 
 @pytest.fixture
@@ -115,6 +116,18 @@ class TestTrainEvalPredict:
             "--out", str(base / "threaded.ckpt"),
         ])
         assert result.exit_code == 0, result.output
+
+    def test_threads_env_not_an_integer(self, workspace, runner, monkeypatch):
+        base, data_dir, cfg_path = workspace
+        monkeypatch.setenv("GMSRF_THREADS", "abc")
+        result = runner.invoke(main, [
+            "train", "--config", str(cfg_path), "--data", str(data_dir),
+            "--out", str(base / "never.ckpt"),
+        ])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, ConfigError), result.exception
+        assert "GMSRF_THREADS" in str(result.exception)
+        assert not (base / "never.ckpt").exists()
 
 
 class TestGradcheckCommand:

@@ -25,7 +25,7 @@ class TestSuite:
 
 
 class TestNegativeControl:
-    def test_corrupted_conv_gradient_detected(self):
+    def test_corrupted_conv_gradient_detected(self, monkeypatch):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(1, 2, 5, 5)), dtype=np.float64)
         w_data = rng.normal(size=(2, 2, 3, 3))
@@ -40,10 +40,14 @@ class TestNegativeControl:
         # corrupt the weight gradient: the checker must flag weight checks
         w = Tensor(w_data, dtype=np.float64, requires_grad=True)
         xc = Tensor(x.data, dtype=np.float64, requires_grad=True)
-        T._CONV_GRAD_CORRUPTION = 1e-3
-        try:
-            err = T.max_grad_error(
-                lambda: T.reduce_mean(T.conv2d(xc, w, padding=1)), [w])
-        finally:
-            T._CONV_GRAD_CORRUPTION = 0.0
+        record = T._record
+
+        def record_wrong_weight_grad(out_data, inputs, backward_fn):
+            def corrupted(g):
+                return [gi + 1e-3 if t is w else gi for t, gi in zip(inputs, backward_fn(g))]
+            return record(out_data, inputs, corrupted)
+
+        monkeypatch.setattr(T, "_record", record_wrong_weight_grad)
+        err = T.max_grad_error(
+            lambda: T.reduce_mean(T.conv2d(xc, w, padding=1)), [w])
         assert err > 1e-5

@@ -72,6 +72,26 @@ class TestConv2d:
         expected = reference.conv2d_loops(x.data, w.data, b.data.ravel(), stride, padding, dilation)
         np.testing.assert_allclose(y.data, expected, rtol=1e-5, atol=1e-5)
 
+    @pytest.mark.parametrize("kernel,stride,padding,dilation,size", [
+        ((1, 1), 1, 0, 1, 6),   # 1x1 channel matmul
+        ((3, 3), 1, 1, 1, 6),   # stride-1 gather
+        ((3, 3), 1, 3, 3, 7),
+        ((3, 3), 1, 5, 5, 7),
+        ((3, 3), 2, 1, 1, 7),   # strided scatter, odd input
+        ((1, 1), 2, 0, 1, 7),
+        ((3, 3), 1, 3, 1, 5),   # padding beyond d*(K-1): the gradient is cropped
+        ((1, 3), 1, 1, 1, 6),   # rows cropped, columns padded
+    ])
+    def test_input_gradient_matches_loop_adjoint(self, kernel, stride, padding, dilation, size):
+        rng = np.random.default_rng(sum(kernel) + 10 * stride + 100 * padding + 1000 * dilation)
+        x = Tensor(rng.normal(size=(2, 3, size, size)), requires_grad=True, dtype=np.float64)
+        w = Tensor(rng.normal(size=(4, 3) + kernel), dtype=np.float64)
+        y = T.conv2d(x, w, stride=stride, padding=padding, dilation=dilation)
+        g = rng.normal(size=y.shape)
+        backward(T.reduce_sum(T.mul(y, Tensor(g))))
+        expected = reference.conv2d_input_grad_loops(g, w.data, x.shape, stride, padding, dilation)
+        np.testing.assert_allclose(x.grad, expected, rtol=1e-12, atol=1e-12)
+
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
             T.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
