@@ -45,7 +45,9 @@ class Layer:
     """Base for parameterized blocks.
 
     Child layers and parameter tensors are discovered from instance
-    attributes in definition order, so registry names are stable.
+    attributes in definition order, so registry names are stable. Layers
+    inside (nested) lists and tuples are named by their indices, as in
+    ``attention.0.1``.
     """
 
     _buffers = ()
@@ -54,13 +56,15 @@ class Layer:
         self.training = True
 
     def _children(self):
-        for name, value in vars(self).items():
+        def walk(name, value):
             if isinstance(value, Layer):
                 yield name, value
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
-                    if isinstance(item, Layer):
-                        yield f"{name}.{i}", item
+                    yield from walk(f"{name}.{i}", item)
+
+        for name, value in vars(self).items():
+            yield from walk(name, value)
 
     def named_parameters(self, prefix=""):
         for name, value in vars(self).items():
@@ -151,18 +155,6 @@ class ConvBlock(Layer):
         return activation(y, self.act, LEAKY_ALPHA)
 
 
-def conv_block(x, params, stride=None):
-    """Functional form: apply a ConvBlock, optionally overriding its stride."""
-    if stride is not None and stride != params.stride:
-        saved = params.stride
-        params.stride = stride
-        try:
-            return params.forward(x)
-        finally:
-            params.stride = saved
-    return params.forward(x)
-
-
 class SqueezeExcite(Layer):
     """Channel gate: x * sigmoid(W2 relu(W1 gap(x)))."""
 
@@ -221,10 +213,6 @@ class Resampler(Layer):
         return x
 
 
-def resample_to_scale(x, spec):
-    return spec.forward(x)
-
-
 class RfbBlock(Layer):
     """Channel reduction through parallel dilated 3x3 branches plus a 1x1
     branch, fused by a 1x1 conv, with a projected residual of the input.
@@ -254,10 +242,6 @@ class RfbBlock(Layer):
                 parts.append(b(x))
         y = self.fuse(concat_channels(parts))
         return add(y, self.project(x))
-
-
-def rfb_reduce(x, block):
-    return block.forward(x)
 
 
 class ResidualStage(Layer):

@@ -44,24 +44,6 @@ class CrossScaleAttention(Layer):
         return self.gate(self.fuse(concat_channels(resampled)))
 
 
-def cmsa(others, attention_block):
-    """Full attention map from raw foreign-scale features."""
-    return attention_block(attention_block.resample(others))
-
-
-def gmsrf_fusion_layer(own_history, resampled_others, layer, fusion_conv):
-    """One dense fusion conv over [own history, foreign previous-layer
-    features], all at the target scale. Valid for layer >= 2; the initial
-    layer has no cross-scale input."""
-    if layer < 2:
-        raise UsageError(f"fusion layers start at l=2, got l={layer}")
-    if len(own_history) != layer:
-        raise ShapeError(
-            f"fusion layer {layer} expects a history of {layer} entries, got {len(own_history)}"
-        )
-    return fusion_conv(concat_channels(list(own_history) + list(resampled_others)))
-
-
 def apply_attention(x, att):
     if x.shape != att.shape:
         raise ShapeError(f"attention shape {att.shape} does not match features {x.shape}")
@@ -115,20 +97,6 @@ class GmsrfModule(Layer):
         self.attention_map_count = 0
         self.fusion_input_channels = {}
 
-    def _children(self):
-        # nested per-scale lists are not handled by the base introspection
-        for name, value in vars(self).items():
-            if isinstance(value, Layer):
-                yield name, value
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Layer):
-                        yield f"{name}.{i}", item
-                    elif isinstance(item, (list, tuple)):
-                        for j, sub in enumerate(item):
-                            if isinstance(sub, Layer):
-                                yield f"{name}.{i}.{j}", sub
-
     def _validate(self, bundle):
         if len(bundle) != 4:
             raise ShapeError(f"bundle must hold 4 scales, got {len(bundle)}")
@@ -180,6 +148,3 @@ class GmsrfModule(Layer):
             outs.append(add(y, bundle[i]))
         return tuple(outs)
 
-
-def gmsrf_module_forward(bundle, module):
-    return module.forward(bundle)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import tempfile
 import zlib
@@ -183,6 +184,7 @@ def build_model(config, dtype=DEFAULT_DTYPE):
 #         | payload (raw little-endian float32 in index order)
 #         | uint32 LE CRC-32 of the payload
 # header: {"config": {...}, "tensors": {name: {"shape": [...], "offset": n}}}
+#         where each offset is the byte sum of the tensors before it
 
 
 def _named_state(model):
@@ -224,9 +226,29 @@ def save_checkpoint(model, path):
         raise
 
 
+def _payload_length(index):
+    """Validate the header's tensor index and return the payload byte count.
+
+    The header sits outside the CRC, so every entry must be a non-negative
+    integer shape stored at exactly the offset its predecessors imply."""
+    if not isinstance(index, dict):
+        raise FormatError(f"checkpoint tensor index must be an object, got {type(index).__name__}")
+    offset = 0
+    for name, entry in index.items():
+        shape = entry.get("shape") if isinstance(entry, dict) else None
+        if (not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape)
+                or type(entry.get("offset")) is not int):
+            raise FormatError(f"checkpoint entry for tensor {name!r} is malformed: {entry!r}")
+        if entry["offset"] != offset:
+            raise FormatError(f"tensor {name} stored at offset {entry['offset']}, expected {offset}")
+        offset += 4 * math.prod(shape)
+    return offset
+
+
 def load_checkpoint(path, dtype=DEFAULT_DTYPE):
     """Rebuild a model from a checkpoint file; verifies magic, CRC, and the
-    agreement between the stored config and every stored tensor shape."""
+    agreement between the stored config and every stored tensor shape and
+    offset."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -246,11 +268,14 @@ def load_checkpoint(path, dtype=DEFAULT_DTYPE):
         raise FormatError(f"unreadable checkpoint header: {e}") from e
     pos += header_len
 
-    payload_len = sum(int(np.prod(t["shape"])) * 4 for t in index.values())
-    if len(blob) < pos + payload_len + 4:
+    payload_len = _payload_length(index)
+    end = pos + payload_len + 4
+    if len(blob) < end:
         raise CorruptionError("checkpoint truncated in payload")
+    if len(blob) > end:
+        raise CorruptionError(f"{len(blob) - end} trailing bytes after the checkpoint CRC")
     payload = blob[pos : pos + payload_len]
-    stored_crc = int.from_bytes(blob[pos + payload_len : pos + payload_len + 4], "little")
+    stored_crc = int.from_bytes(blob[end - 4 : end], "little")
     if (zlib.crc32(payload) & 0xFFFFFFFF) != stored_crc:
         raise CorruptionError("checkpoint payload CRC mismatch")
 

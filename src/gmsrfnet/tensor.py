@@ -1,9 +1,12 @@
 """Minimal reverse-mode autodiff over dense 4-D (N, C, H, W) tensors.
 
-Operations record onto a thread-local tape; ``backward`` replays the tape in
-exact reverse recording order and deposits gradients on the leaf tensors that
-requested them. float32 is the working precision; float64 is supported end to
-end for finite-difference gradient checking.
+Every op whose inputs require grad returns a tensor that holds its own piece
+of the graph: the op's inputs, a backward closure and a creation number.
+``backward`` walks what is reachable from the loss and runs those nodes in
+reverse creation order, depositing gradients on the leaf tensors that
+requested them. A graph nobody back-propagates is freed with its tensors.
+float32 is the working precision; float64 is supported end to end for
+finite-difference gradient checking.
 
 Vectors (biases) and matrices (projection weights) are represented as 4-D
 tensors of shape (1, C, 1, 1) and (Cout, Cin, 1, 1) so that every learnable
@@ -11,6 +14,7 @@ array shares one type.
 """
 from __future__ import annotations
 
+import itertools
 import threading
 
 import numpy as np
@@ -19,39 +23,12 @@ from .errors import NumericsError, ShapeError, StateError, UsageError
 
 DEFAULT_DTYPE = np.float32
 
-
-class Graph:
-    """Recorded operation tape. Node order is recording order, which is a
-    valid topological order; a graph may be consumed by exactly one backward
-    pass."""
-
-    __slots__ = ("nodes", "leaves", "_leaf_ids", "consumed")
-
-    def __init__(self):
-        self.nodes = []
-        self.leaves = []
-        self._leaf_ids = set()
-        self.consumed = False
-
-    def register_leaf(self, t):
-        if id(t) not in self._leaf_ids:
-            self._leaf_ids.add(id(t))
-            self.leaves.append(t)
-
-
-class _Node:
-    __slots__ = ("inputs", "backward_fn")
-
-    def __init__(self, inputs, backward_fn):
-        self.inputs = inputs
-        self.backward_fn = backward_fn
-
-
 _tls = threading.local()
+_creation = itertools.count()
 
 
 class no_grad:
-    """Context manager that suspends tape recording (inference mode)."""
+    """Context manager that suspends graph recording (inference mode)."""
 
     def __enter__(self):
         self._prev = getattr(_tls, "no_grad", False)
@@ -67,18 +44,15 @@ def _grad_enabled():
     return not getattr(_tls, "no_grad", False)
 
 
-def _active_graph():
-    g = getattr(_tls, "graph", None)
-    if g is None or g.consumed:
-        g = Graph()
-        _tls.graph = g
-    return g
-
-
 class Tensor:
-    """Dense (N, C, H, W) array, optionally tracked on the recording tape."""
+    """Dense (N, C, H, W) array, optionally a node of a recorded graph.
 
-    __slots__ = ("data", "grad", "requires_grad", "graph", "node_id")
+    A recorded op output keeps its inputs, its backward closure and its
+    creation number until a backward pass consumes it; a tensor with no
+    creation number is a leaf.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_inputs", "_backward_fn", "_seq")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data)
@@ -93,8 +67,9 @@ class Tensor:
         self.data = np.ascontiguousarray(arr)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.graph = None   # tape this tensor was recorded on, if any
-        self.node_id = None  # opaque handle: position on the tape
+        self._inputs = None
+        self._backward_fn = None
+        self._seq = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -126,7 +101,8 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def numpy(self):
-        """The raw data array (shared, do not mutate while on a live tape)."""
+        """The raw data array (shared; do not mutate it while a graph that
+        saved it is still to be back-propagated)."""
         return self.data
 
     def __repr__(self):
@@ -186,63 +162,73 @@ def scalar(value, dtype=DEFAULT_DTYPE):
 def _record(out_data, inputs, backward_fn):
     out = Tensor(out_data)
     if _grad_enabled() and any(t.requires_grad for t in inputs):
-        g = _active_graph()
-        for t in inputs:
-            if t.requires_grad and t.node_id is None:
-                g.register_leaf(t)
         out.requires_grad = True
-        out.graph = g
-        out.node_id = len(g.nodes)
-        g.nodes.append(_Node(inputs, backward_fn))
+        out._inputs = inputs
+        out._backward_fn = backward_fn
+        out._seq = next(_creation)
     return out
 
 
-def backward(loss):
-    """Propagate gradients from a scalar loss through its recorded graph.
+def _reachable(loss):
+    """Recorded nodes reachable from loss in ascending creation order, and
+    the requires_grad leaves they reach. Raises before anything is touched
+    if the walk meets a node an earlier backward pass consumed."""
+    nodes, leaves, seen, stack = [], [], {loss}, [loss]
+    while stack:
+        t = stack.pop()
+        if t._seq is None:
+            leaves.append(t)
+            continue
+        if t._backward_fn is None:
+            raise StateError("graph already consumed by a backward pass")
+        nodes.append(t)
+        for x in t._inputs:
+            if x.requires_grad and x not in seen:
+                seen.add(x)
+                stack.append(x)
+    nodes.sort(key=lambda t: t._seq)
+    return nodes, leaves
 
-    Every requires_grad leaf that participated in the recording receives a
-    gradient (zeros if unreachable from the loss). The graph is consumed and
-    cannot be replayed.
+
+def backward(loss):
+    """Propagate gradients from a scalar loss through the graph it reaches.
+
+    Every requires_grad leaf reachable from the loss receives a gradient;
+    other leaves keep theirs. The reached nodes are consumed and release
+    their saved arrays as the pass goes, so they cannot be replayed.
     """
     if loss.shape != (1, 1, 1, 1):
         raise ShapeError(f"backward expects a scalar (1,1,1,1) loss, got {loss.shape}")
-    g = loss.graph
-    if g is None:
+    if loss._seq is None:
         raise StateError("loss does not belong to a recorded graph")
-    if g.consumed:
-        raise StateError("graph already consumed by a backward pass")
-
-    for leaf in g.leaves:
+    nodes, leaves = _reachable(loss)
+    for leaf in leaves:
         if leaf.grad is None:
             leaf.grad = np.zeros_like(leaf.data)
 
-    # buffers: node_id -> [grad array, owned]; "owned" marks arrays allocated
+    # buffers: node -> [grad array, owned]; "owned" marks arrays allocated
     # here that are safe to accumulate into in place
-    buffers = {loss.node_id: [np.ones((1, 1, 1, 1), loss.data.dtype), True]}
-    for nid in range(len(g.nodes) - 1, -1, -1):
-        entry = buffers.pop(nid, None)
+    buffers = {loss: [np.ones((1, 1, 1, 1), loss.data.dtype), True]}
+    while nodes:
+        node = nodes.pop()
+        entry = buffers.pop(node, None)
+        inputs, backward_fn = node._inputs, node._backward_fn
+        node._inputs = node._backward_fn = None
         if entry is None:
             continue
-        node = g.nodes[nid]
-        grads_in = node.backward_fn(entry[0])
-        for t, gi in zip(node.inputs, grads_in):
-            if gi is None:
+        for t, gi in zip(inputs, backward_fn(entry[0])):
+            if gi is None or not t.requires_grad:
                 continue
-            if t.node_id is not None and t.graph is g:
-                slot = buffers.get(t.node_id)
-                if slot is None:
-                    buffers[t.node_id] = [gi, False]
-                elif slot[1]:
-                    slot[0] += gi
-                else:
-                    buffers[t.node_id] = [slot[0] + gi, True]
-            elif t.requires_grad and t.node_id is None:
+            if t._seq is None:
                 t.grad += gi
-
-    g.consumed = True
-    g.nodes.clear()
-    if getattr(_tls, "graph", None) is g:
-        _tls.graph = None
+                continue
+            slot = buffers.get(t)
+            if slot is None:
+                buffers[t] = [gi, False]
+            elif slot[1]:
+                slot[0] += gi
+            else:
+                buffers[t] = [slot[0] + gi, True]
 
 
 # -- shape utilities ----------------------------------------------------------
@@ -431,20 +417,6 @@ def concat_channels(parts):
     return _record(y, list(parts), backward_fn)
 
 
-def slice_channels(x, start, stop):
-    """Channel slice x[:, start:stop]; the inverse view of concat_channels."""
-    if not (0 <= start < stop <= x.shape[1]):
-        raise ShapeError(f"slice_channels: [{start}:{stop}] out of range for C={x.shape[1]}")
-    y = x.data[:, start:stop].copy()
-
-    def backward_fn(g):
-        full = np.zeros_like(x.data)
-        full[:, start:stop] = g
-        return (full,)
-
-    return _record(y, [x], backward_fn)
-
-
 # -- elementwise ops ----------------------------------------------------------
 
 
@@ -483,14 +455,6 @@ def divide(x, y):
         return g * inv, -g * x.data * inv * inv
 
     return _record(x.data / y.data, [x, y], backward_fn)
-
-
-def elementwise(x, y, op):
-    """Dispatch form of the pointwise binary ops."""
-    table = {"add": add, "mul": mul, "sub": sub, "div": divide}
-    if op not in table:
-        raise UsageError(f"elementwise: unknown op {op!r}")
-    return table[op](x, y)
 
 
 def scale_shift(x, a, b):
@@ -773,7 +737,7 @@ def reduce_sum_per_image(x):
 
 
 def max_grad_error(f, inputs, h_scale=1e-6, max_coords=None, rng=None):
-    """Worst relative error between tape gradients of scalar ``f()`` and
+    """Worst relative error between backward gradients of scalar ``f()`` and
     central finite differences over the given input tensors.
 
     Coordinates are probed exhaustively unless max_coords caps them, in which

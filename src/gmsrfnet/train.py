@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -248,13 +247,6 @@ def predict(checkpoint_path, image_path, out_mask_path, threshold=0.5):
 
 
 # -- generalization report ---------------------------------------------------------
-
-
-def file_sha256(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        digest.update(f.read())
-    return digest.hexdigest()
 
 
 def generalization_report(ckpt_a, ckpt_b, data_a, data_b, out_base=None,

@@ -6,15 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmsrfnet import tensor as T
-from gmsrfnet.errors import ShapeError, UsageError
-from gmsrfnet.gmsrf import (
-    CrossScaleAttention,
-    GmsrfModule,
-    apply_attention,
-    cmsa,
-    gmsrf_fusion_layer,
-)
-from gmsrfnet.blocks import ConvBlock
+from gmsrfnet.errors import ShapeError
+from gmsrfnet.gmsrf import SCALES, CrossScaleAttention, GmsrfModule, apply_attention
 from gmsrfnet.tensor import Tensor, max_grad_error
 
 
@@ -53,7 +46,7 @@ class TestCmsa:
     def test_zero_inputs_give_half(self, rng):
         att = CrossScaleAttention(rng, growth=4, target_scale=1)
         others = [Tensor(np.zeros((1, 4, 8 >> i, 8 >> i), np.float32)) for i in range(3)]
-        out = cmsa(others, att)
+        out = att(att.resample(others))
         np.testing.assert_array_equal(out.data, 0.5)
 
     def test_output_shape(self, rng):
@@ -61,14 +54,14 @@ class TestCmsa:
         others = [Tensor(rng.normal(size=(1, 8, 8, 8)).astype(np.float32)),
                   Tensor(rng.normal(size=(1, 8, 4, 4)).astype(np.float32)),
                   Tensor(rng.normal(size=(1, 8, 2, 2)).astype(np.float32))]
-        assert cmsa(others, att).shape == (1, 8, 16, 16)
+        assert att(att.resample(others)).shape == (1, 8, 16, 16)
 
     def test_values_strictly_in_unit_interval(self, rng):
         att = CrossScaleAttention(rng, growth=4, target_scale=2)
         others = [Tensor(rng.normal(size=(1, 4, 16, 16)).astype(np.float32)),
                   Tensor(rng.normal(size=(1, 4, 4, 4)).astype(np.float32)),
                   Tensor(rng.normal(size=(1, 4, 2, 2)).astype(np.float32))]
-        out = cmsa(others, att).data
+        out = att(att.resample(others)).data
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
     def test_wrong_arity_raises(self, rng):
@@ -78,25 +71,15 @@ class TestCmsa:
 
 
 class TestFusionLayer:
-    def test_layer_below_two_rejected(self, rng):
-        conv = ConvBlock(rng, 8, 2, 3, padding=1)
-        with pytest.raises(UsageError):
-            gmsrf_fusion_layer([], [], 1, conv)
-
     def test_channel_arithmetic_l2(self, rng):
         c0, k = 32, 8
-        conv = ConvBlock(rng, c0 + k + 3 * k, k, 3, padding=1)
-        history = [Tensor(rng.normal(size=(1, c0, 8, 8)).astype(np.float32)),
-                   Tensor(rng.normal(size=(1, k, 8, 8)).astype(np.float32))]
-        others = [Tensor(rng.normal(size=(1, k, 8, 8)).astype(np.float32)) for _ in range(3)]
-        y = gmsrf_fusion_layer(history, others, 2, conv)
-        assert conv.weight.shape[1] == 64
+        module = GmsrfModule(rng, channels=c0, growth=k, num_layers=2)
+        module(make_bundle(rng, c0, base=8))
+        for s in SCALES:
+            assert module.fusion_input_channels[(s, 2)] == 64
+            assert module.fusion[s - 1][0].weight.shape[1] == 64
+        y = module.fusion[0][0](Tensor(rng.normal(size=(1, 64, 8, 8)).astype(np.float32)))
         assert y.shape == (1, k, 8, 8)
-
-    def test_history_length_mismatch_raises(self, rng):
-        conv = ConvBlock(rng, 64, 8, 3, padding=1)
-        with pytest.raises(ShapeError):
-            gmsrf_fusion_layer([Tensor(np.zeros((1, 32, 8, 8), np.float32))], [], 3, conv)
 
 
 class TestInitialLayer:

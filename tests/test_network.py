@@ -190,6 +190,39 @@ class TestRegistry:
         assert all(p.requires_grad for _, p in model.named_parameters())
 
 
+def edit_header(edit):
+    """Blob transform that applies ``edit`` to the parsed header JSON."""
+
+    def apply(blob):
+        header_len = int.from_bytes(blob[6:10], "little")
+        header = json.loads(blob[10 : 10 + header_len].decode())
+        edit(header)
+        new_header = json.dumps(header).encode()
+        return (CHECKPOINT_MAGIC + len(new_header).to_bytes(4, "little") + new_header
+                + blob[10 + header_len :])
+
+    return apply
+
+
+def entry(header, i):
+    return list(header["tensors"].values())[i]
+
+
+MALFORMED_CHECKPOINTS = [
+    pytest.param(edit_header(lambda h: entry(h, -1).update(offset=10**9)), FormatError,
+                 id="offset-out-of-range"),
+    pytest.param(edit_header(lambda h: entry(h, 1).pop("offset")), FormatError,
+                 id="offset-missing"),
+    pytest.param(edit_header(lambda h: h.update(tensors=[])), FormatError,
+                 id="tensors-not-an-object"),
+    pytest.param(edit_header(lambda h: entry(h, 0).update(shape="4")), FormatError,
+                 id="shape-is-a-string"),
+    pytest.param(edit_header(lambda h: entry(h, 1).update(offset=entry(h, 1)["offset"] + 4)),
+                 FormatError, id="offset-shifted-by-4"),
+    pytest.param(lambda blob: blob + b"\0\0\0\0", CorruptionError, id="trailing-bytes"),
+]
+
+
 class TestCheckpoint:
     def test_save_load_save_byte_identical(self, tmp_path):
         model = build_model(MICRO)
@@ -263,3 +296,11 @@ class TestCheckpoint:
         header_len = int.from_bytes(blob[6:10], "little")
         payload = blob[10 + header_len : -4]
         assert int.from_bytes(blob[-4:], "little") == zlib.crc32(payload) & 0xFFFFFFFF
+
+    @pytest.mark.parametrize("corrupt,error", MALFORMED_CHECKPOINTS)
+    def test_malformed_layout_rejected(self, tmp_path, corrupt, error):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(MICRO), path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(error):
+            load_checkpoint(path)

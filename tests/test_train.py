@@ -1,4 +1,6 @@
 """Training loop, evaluation, prediction, and the generalization report."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,11 +20,16 @@ from gmsrfnet.train import (
     TrainConfig,
     evaluate,
     evaluate_model,
-    file_sha256,
     generalization_report,
     predict,
     train,
 )
+
+
+def file_sha256(path):
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
 
 TINY_MODEL = dict(input_size=32, encoder_widths=(4, 6, 8, 8), rfb_channels=4,
                   growth=2, layers_per_module=2, num_modules=1, seed=5)
