@@ -9,7 +9,6 @@ import numpy as np
 from .errors import ShapeError, UsageError
 from .tensor import (
     DEFAULT_DTYPE,
-    BatchNormState,
     Tensor,
     activation,
     add,
@@ -36,9 +35,9 @@ _GAINS = {
 }
 
 
-def he_weight(rng, shape, fan_in, act="leaky_relu", dtype=DEFAULT_DTYPE):
+def he_weight(rng, shape, fan_in, act="leaky_relu"):
     std = _GAINS[act] / math.sqrt(fan_in)
-    return Tensor(rng.normal(0.0, std, shape).astype(dtype), requires_grad=True)
+    return Tensor(rng.normal(0.0, std, shape).astype(DEFAULT_DTYPE), requires_grad=True)
 
 
 class Layer:
@@ -86,6 +85,23 @@ class Layer:
         for p in self.parameters():
             p.grad = None
 
+    def astype(self, dtype):
+        """Cast every parameter and buffer to ``dtype`` in place and return
+        self. Layers build float32; ``model.astype(np.float64)`` turns a
+        model into the float64 one that gradient checking needs.
+
+        Call it before creating an optimizer: Adam rebinds each parameter's
+        data to a view of its flat buffer, which a later cast would detach.
+        """
+        for value in vars(self).values():
+            if isinstance(value, Tensor) and value.requires_grad:
+                value.data = value.data.astype(dtype)
+        for name in self._buffers:
+            setattr(self, name, getattr(self, name).astype(dtype))
+        for _, child in self._children():
+            child.astype(dtype)
+        return self
+
     def set_training(self, flag):
         self.training = bool(flag)
         for _, child in self._children():
@@ -98,29 +114,19 @@ class Layer:
 class BatchNorm2d(Layer):
     _buffers = ("running_mean", "running_var", "num_updates")
 
-    def __init__(self, channels, eps=1e-5, momentum=0.1, dtype=DEFAULT_DTYPE):
+    def __init__(self, channels, eps=1e-5, momentum=0.1):
         super().__init__()
-        self.gamma = vector(np.ones(channels), requires_grad=True, dtype=dtype)
-        self.beta = vector(np.zeros(channels), requires_grad=True, dtype=dtype)
-        self.state = BatchNormState(channels, dtype)
+        self.gamma = vector(np.ones(channels), requires_grad=True)
+        self.beta = vector(np.zeros(channels), requires_grad=True)
+        self.running_mean = np.zeros((1, channels, 1, 1), DEFAULT_DTYPE)
+        self.running_var = np.ones((1, channels, 1, 1), DEFAULT_DTYPE)
+        self.num_updates = np.zeros((1, 1, 1, 1), DEFAULT_DTYPE)
         self.eps = eps
         self.momentum = momentum
 
-    @property
-    def running_mean(self):
-        return self.state.running_mean
-
-    @property
-    def running_var(self):
-        return self.state.running_var
-
-    @property
-    def num_updates(self):
-        return self.state.num_updates
-
     def forward(self, x):
         return batch_norm(
-            x, self.gamma, self.beta, self.state, self.training,
+            x, self.gamma, self.beta, self, self.training,
             eps=self.eps, momentum=self.momentum,
         )
 
@@ -133,12 +139,12 @@ class ConvBlock(Layer):
     """
 
     def __init__(self, rng, cin, cout, kernel, stride=1, padding=0, dilation=1,
-                 act="leaky_relu", norm=True, transpose=False, dtype=DEFAULT_DTYPE):
+                 act="leaky_relu", norm=True, transpose=False):
         super().__init__()
         shape = (cin, cout, kernel, kernel) if transpose else (cout, cin, kernel, kernel)
-        self.weight = he_weight(rng, shape, cin * kernel * kernel, act, dtype)
-        self.bias = vector(np.zeros(cout), requires_grad=True, dtype=dtype)
-        self.bn = BatchNorm2d(cout, dtype=dtype) if norm else None
+        self.weight = he_weight(rng, shape, cin * kernel * kernel, act)
+        self.bias = vector(np.zeros(cout), requires_grad=True)
+        self.bn = BatchNorm2d(cout) if norm else None
         self.stride = stride
         self.padding = padding
         self.dilation = dilation
@@ -158,13 +164,13 @@ class ConvBlock(Layer):
 class SqueezeExcite(Layer):
     """Channel gate: x * sigmoid(W2 relu(W1 gap(x)))."""
 
-    def __init__(self, rng, channels, reduction=4, dtype=DEFAULT_DTYPE):
+    def __init__(self, rng, channels, reduction=4):
         super().__init__()
         hidden = max(1, channels // reduction)
-        self.w1 = he_weight(rng, (hidden, channels, 1, 1), channels, "relu", dtype)
-        self.b1 = vector(np.zeros(hidden), requires_grad=True, dtype=dtype)
-        self.w2 = he_weight(rng, (channels, hidden, 1, 1), hidden, "sigmoid", dtype)
-        self.b2 = vector(np.zeros(channels), requires_grad=True, dtype=dtype)
+        self.w1 = he_weight(rng, (hidden, channels, 1, 1), channels, "relu")
+        self.b1 = vector(np.zeros(hidden), requires_grad=True)
+        self.w2 = he_weight(rng, (channels, hidden, 1, 1), hidden, "sigmoid")
+        self.b2 = vector(np.zeros(channels), requires_grad=True)
 
     def forward(self, x):
         s = global_avg_pool(x)
@@ -181,25 +187,18 @@ class Resampler(Layer):
     preserved end to end. from == to is a pass-through.
     """
 
-    def __init__(self, rng, channels, from_scale, to_scale, dtype=DEFAULT_DTYPE):
+    def __init__(self, rng, channels, from_scale, to_scale):
         super().__init__()
         if not (1 <= from_scale <= 4 and 1 <= to_scale <= 4):
             raise UsageError(f"resampler scales must be in 1..4, got {from_scale}->{to_scale}")
         self.from_scale = from_scale
         self.to_scale = to_scale
         self.down = to_scale > from_scale
-        steps = abs(to_scale - from_scale)
-        if self.down:
-            self.stages = [
-                ConvBlock(rng, channels, channels, 3, stride=2, padding=1, dtype=dtype)
-                for _ in range(steps)
-            ]
-        else:
-            self.stages = [
-                ConvBlock(rng, channels, channels, 4, stride=2, padding=1,
-                          transpose=True, dtype=dtype)
-                for _ in range(steps)
-            ]
+        kernel = 3 if self.down else 4
+        self.stages = [
+            ConvBlock(rng, channels, channels, kernel, stride=2, padding=1, transpose=not self.down)
+            for _ in range(abs(to_scale - from_scale))
+        ]
 
     def forward(self, x):
         if self.from_scale == self.to_scale:
@@ -220,20 +219,20 @@ class RfbBlock(Layer):
     Branch widths are out/4 rounded down, remainder on the 1x1 branch.
     """
 
-    def __init__(self, rng, cin, cout, dtype=DEFAULT_DTYPE):
+    def __init__(self, rng, cin, cout):
         super().__init__()
         if cout < 1:
             raise UsageError(f"rfb: out_channels must be >= 1, got {cout}")
         quarter = cout // 4
         first = cout - 3 * quarter
         self.branch_widths = (first, quarter, quarter, quarter)
-        self.branch0 = ConvBlock(rng, cin, first, 1, dtype=dtype)
-        self.branch1 = ConvBlock(rng, cin, quarter, 3, padding=1, dilation=1, dtype=dtype) if quarter else None
-        self.branch2 = ConvBlock(rng, cin, quarter, 3, padding=3, dilation=3, dtype=dtype) if quarter else None
-        self.branch3 = ConvBlock(rng, cin, quarter, 3, padding=5, dilation=5, dtype=dtype) if quarter else None
-        self.fuse = ConvBlock(rng, cout, cout, 1, dtype=dtype)
+        self.branch0 = ConvBlock(rng, cin, first, 1)
+        self.branch1 = ConvBlock(rng, cin, quarter, 3, padding=1, dilation=1) if quarter else None
+        self.branch2 = ConvBlock(rng, cin, quarter, 3, padding=3, dilation=3) if quarter else None
+        self.branch3 = ConvBlock(rng, cin, quarter, 3, padding=5, dilation=5) if quarter else None
+        self.fuse = ConvBlock(rng, cout, cout, 1)
         # shortcut projection: normalized but not activated
-        self.project = ConvBlock(rng, cin, cout, 1, act="linear", dtype=dtype)
+        self.project = ConvBlock(rng, cin, cout, 1, act="linear")
 
     def forward(self, x):
         parts = [self.branch0(x)]
@@ -251,13 +250,13 @@ class ResidualStage(Layer):
     stride-2 1x1 projection); the projection also absorbs channel changes.
     """
 
-    def __init__(self, rng, cin, cout, downsample=False, dtype=DEFAULT_DTYPE):
+    def __init__(self, rng, cin, cout, downsample=False):
         super().__init__()
         stride = 2 if downsample else 1
-        self.conv1 = ConvBlock(rng, cin, cout, 3, stride=stride, padding=1, dtype=dtype)
-        self.conv2 = ConvBlock(rng, cout, cout, 3, padding=1, dtype=dtype)
+        self.conv1 = ConvBlock(rng, cin, cout, 3, stride=stride, padding=1)
+        self.conv2 = ConvBlock(rng, cout, cout, 3, padding=1)
         if downsample or cin != cout:
-            self.shortcut = ConvBlock(rng, cin, cout, 1, stride=stride, act="linear", dtype=dtype)
+            self.shortcut = ConvBlock(rng, cin, cout, 1, stride=stride, act="linear")
         else:
             self.shortcut = None
 

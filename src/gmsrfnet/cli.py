@@ -47,7 +47,9 @@ def generate_data_cmd(spec_path, n, out_dir, size, split_ratios, split_seed):
         spec = CenterSpec()
     ratios = tuple(float(r) for r in split_ratios.split(","))
     dataset = generate_center(spec, n, size)
-    split_dataset(dataset, ratios, split_seed)
+    position = {s.id: i for i, s in enumerate(dataset)}
+    parts = split_dataset(dataset, ratios, split_seed)
+    dataset.samples = sorted((s for part in parts for s in part), key=lambda s: position[s.id])
     save_dataset(dataset, out_dir)
     click.echo(f"wrote {len(dataset)} samples to {out_dir}")
 

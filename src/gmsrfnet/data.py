@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError, FormatError, config_fields
 from .tensor import interp_matrix
 
 
@@ -61,11 +61,7 @@ class CenterSpec:
 
     @staticmethod
     def from_dict(d):
-        d = dict(d)
-        for key in ("fg_mean", "bg_mean", "blob_count", "blob_radius"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return CenterSpec(**d)
+        return CenterSpec(**config_fields(CenterSpec, d))
 
 
 def default_center_a(seed=101):
@@ -204,7 +200,8 @@ def generate_center(spec, n, size=64):
 
 def split_dataset(dataset, ratios=(0.8, 0.1, 0.1), seed=0):
     """Deterministic shuffled train/val/test split; rounded val/test sizes,
-    remainder to train."""
+    remainder to train. Each part holds split-tagged copies of the samples
+    in dataset order; the input dataset is left as it was."""
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {ratios}")
     n = len(dataset)
@@ -218,12 +215,8 @@ def split_dataset(dataset, ratios=(0.8, 0.1, 0.1), seed=0):
     bounds = [(0, n_train, "train"), (n_train, n_train + n_val, "val"),
               (n_train + n_val, n, "test")]
     for lo, hi, tag in bounds:
-        sub = Dataset(center_id=dataset.center_id, spec=dataset.spec)
-        for idx in sorted(perm[lo:hi]):
-            s = dataset.samples[idx]
-            s.split = tag
-            sub.samples.append(s)
-        parts.append(sub)
+        samples = [dataclasses.replace(dataset.samples[i], split=tag) for i in sorted(perm[lo:hi])]
+        parts.append(Dataset(samples, dataset.center_id, dataset.spec))
     return tuple(parts)
 
 
@@ -260,6 +253,8 @@ def _read_pnm_header(blob, path):
         raise FormatError(f"{path}: non-numeric PNM header field") from e
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 is supported, got {maxval}")
+    if width < 1 or height < 1:
+        raise FormatError(f"{path}: bad PNM size {width}x{height}")
     return magic, width, height, pos
 
 
@@ -421,6 +416,28 @@ def save_dataset(dataset, out_dir):
         json.dump(manifest, f, indent=2)
 
 
+def _read_manifest(path):
+    """Center id, spec and per-sample entries by id of a dataset.json in the
+    layout save_dataset writes; FormatError for anything else."""
+    with open(path) as f:
+        try:
+            manifest = json.load(f)
+        except (ValueError, RecursionError) as e:
+            raise FormatError(f"{path}: manifest is not JSON: {e}") from e
+    entries = manifest.get("samples", []) if isinstance(manifest, dict) else None
+    if not isinstance(entries, list) or not isinstance(manifest.get("center_id", ""), str) or not all(
+        isinstance(e, dict) and isinstance(e.get("id"), str)
+        and isinstance(e.get("center_id", ""), str) and isinstance(e.get("split", ""), str)
+        for e in entries
+    ):
+        raise FormatError(f"{path}: manifest does not have the layout save_dataset writes")
+    try:
+        spec = CenterSpec.from_dict(manifest["spec"]) if manifest.get("spec") else None
+    except ConfigError as e:
+        raise FormatError(f"{path}: bad spec in manifest: {e}") from e
+    return manifest.get("center_id", ""), spec, {e["id"]: e for e in entries}
+
+
 def load_folder(folder, input_size=64):
     """Load paired images/*.ppm and masks/*.pgm, resized to input_size.
 
@@ -440,17 +457,10 @@ def load_folder(folder, input_size=64):
         if stem not in images:
             raise DataError(f"mask {stem!r} has no matching image")
 
-    meta = {}
-    center_id = ""
-    spec = None
     manifest_path = os.path.join(folder, "dataset.json")
+    center_id, spec, meta = "", None, {}
     if os.path.exists(manifest_path):
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-        center_id = manifest.get("center_id", "")
-        if manifest.get("spec"):
-            spec = CenterSpec.from_dict(manifest["spec"])
-        meta = {entry["id"]: entry for entry in manifest.get("samples", [])}
+        center_id, spec, meta = _read_manifest(manifest_path)
 
     ds = Dataset(center_id=center_id, spec=spec)
     for stem in sorted(images):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .blocks import ConvBlock, Layer, Resampler, SqueezeExcite
 from .errors import ShapeError, UsageError
-from .tensor import DEFAULT_DTYPE, add, concat_channels, mul
+from .tensor import add, concat_channels, mul
 
 SCALES = (1, 2, 3, 4)
 
@@ -24,15 +24,13 @@ class CrossScaleAttention(Layer):
     multiplies the fusion output elementwise.
     """
 
-    def __init__(self, rng, growth, target_scale, dtype=DEFAULT_DTYPE):
+    def __init__(self, rng, growth, target_scale):
         super().__init__()
         self.target_scale = target_scale
         self.sources = tuple(s for s in SCALES if s != target_scale)
-        self.resamplers = [
-            Resampler(rng, growth, src, target_scale, dtype=dtype) for src in self.sources
-        ]
-        self.fuse = ConvBlock(rng, 3 * growth, growth, 3, padding=1, dtype=dtype)
-        self.gate = ConvBlock(rng, growth, growth, 1, act="sigmoid", norm=False, dtype=dtype)
+        self.resamplers = [Resampler(rng, growth, src, target_scale) for src in self.sources]
+        self.fuse = ConvBlock(rng, 3 * growth, growth, 3, padding=1)
+        self.gate = ConvBlock(rng, growth, growth, 1, act="sigmoid", norm=False)
 
     def resample(self, others):
         """Bring the three foreign-scale features to the target scale."""
@@ -59,8 +57,7 @@ class GmsrfModule(Layer):
     instrumentation.
     """
 
-    def __init__(self, rng, channels, growth, num_layers=3, se_reduction=4,
-                 dtype=DEFAULT_DTYPE):
+    def __init__(self, rng, channels, growth, num_layers=3, se_reduction=4):
         super().__init__()
         if num_layers < 1:
             raise UsageError(f"module needs at least 1 layer, got {num_layers}")
@@ -70,28 +67,20 @@ class GmsrfModule(Layer):
         self.growth = growth
         self.num_layers = num_layers
 
-        self.initial = [
-            ConvBlock(rng, channels, growth, 3, padding=1, dtype=dtype) for _ in SCALES
-        ]
+        self.initial = [ConvBlock(rng, channels, growth, 3, padding=1) for _ in SCALES]
         self.attention = []
         self.fusion = []
         for scale in SCALES:
             self.attention.append([
-                CrossScaleAttention(rng, growth, scale, dtype=dtype)
-                for _ in range(2, num_layers + 1)
+                CrossScaleAttention(rng, growth, scale) for _ in range(2, num_layers + 1)
             ])
             self.fusion.append([
-                ConvBlock(rng, channels + (l - 1) * growth + 3 * growth, growth, 3,
-                          padding=1, dtype=dtype)
+                ConvBlock(rng, channels + (l - 1) * growth + 3 * growth, growth, 3, padding=1)
                 for l in range(2, num_layers + 1)
             ])
         fused_width = channels + num_layers * growth
-        self.select = [
-            SqueezeExcite(rng, fused_width, se_reduction, dtype=dtype) for _ in SCALES
-        ]
-        self.transition = [
-            ConvBlock(rng, fused_width, channels, 1, dtype=dtype) for _ in SCALES
-        ]
+        self.select = [SqueezeExcite(rng, fused_width, se_reduction) for _ in SCALES]
+        self.transition = [ConvBlock(rng, fused_width, channels, 1) for _ in SCALES]
 
         self.fusion_conv_count = 0
         self.attention_map_count = 0

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .blocks import ConvBlock, Resampler, ResidualStage, RfbBlock, SqueezeExcite
+from .blocks import BatchNorm2d, ConvBlock, Resampler, ResidualStage, RfbBlock, SqueezeExcite
 from .gmsrf import GmsrfModule
 from .losses import total_loss
 from .network import ModelConfig, SegmentationModel
@@ -105,7 +105,7 @@ def op_checks(rng):
     bx = _rand(rng, (3, 4, 5, 5))
     gamma = Tensor(rng.uniform(0.5, 1.5, (1, 4, 1, 1)), requires_grad=True, dtype=np.float64)
     beta = Tensor(rng.normal(0, 0.2, (1, 4, 1, 1)), requires_grad=True, dtype=np.float64)
-    state = T.BatchNormState(4, np.float64)
+    state = BatchNorm2d(4).astype(np.float64)
     results.append(_check(
         "batch_norm_train",
         lambda: _sq_mean(T.batch_norm(bx, gamma, beta, state, True)),
@@ -142,43 +142,43 @@ def block_checks(rng):
     results = []
     f64 = np.float64
 
-    cb = ConvBlock(rng, 3, 4, 3, padding=1, dtype=f64)
+    cb = ConvBlock(rng, 3, 4, 3, padding=1).astype(f64)
     jitter_parameters(cb, rng)
     x = _rand(rng, (2, 3, 6, 6))
     results.append(_check("conv_block", lambda: _sq_mean(cb(x)), [x] + cb.parameters(),
                           max_coords=60, rng=rng))
 
-    se = SqueezeExcite(rng, 6, reduction=3, dtype=f64)
+    se = SqueezeExcite(rng, 6, reduction=3).astype(f64)
     jitter_parameters(se, rng)
     xs = _rand(rng, (2, 6, 4, 4))
     results.append(_check("squeeze_excite", lambda: _sq_mean(se(xs)), [xs] + se.parameters(),
                           max_coords=60, rng=rng))
 
-    up = Resampler(rng, 3, 3, 1, dtype=f64)
+    up = Resampler(rng, 3, 3, 1).astype(f64)
     jitter_parameters(up, rng)
     xu = _rand(rng, (1, 3, 2, 2))
     results.append(_check("resampler_up2", lambda: _sq_mean(up(xu)), [xu] + up.parameters(),
                           max_coords=60, rng=rng))
 
-    down = Resampler(rng, 3, 1, 3, dtype=f64)
+    down = Resampler(rng, 3, 1, 3).astype(f64)
     jitter_parameters(down, rng)
     xd = _rand(rng, (1, 3, 8, 8))
     results.append(_check("resampler_down2", lambda: _sq_mean(down(xd)), [xd] + down.parameters(),
                           max_coords=60, rng=rng))
 
-    rfb = RfbBlock(rng, 6, 4, dtype=f64)
+    rfb = RfbBlock(rng, 6, 4).astype(f64)
     jitter_parameters(rfb, rng)
     xr = _rand(rng, (1, 6, 12, 12))
     results.append(_check("rfb_reduce", lambda: _sq_mean(rfb(xr)), [xr] + rfb.parameters(),
                           max_coords=40, rng=rng))
 
-    stage = ResidualStage(rng, 3, 5, downsample=True, dtype=f64)
+    stage = ResidualStage(rng, 3, 5, downsample=True).astype(f64)
     jitter_parameters(stage, rng)
     xst = _rand(rng, (1, 3, 8, 8))
     results.append(_check("residual_stage", lambda: _sq_mean(stage(xst)), [xst] + stage.parameters(),
                           max_coords=40, rng=rng))
 
-    module = GmsrfModule(rng, channels=4, growth=2, num_layers=2, dtype=f64)
+    module = GmsrfModule(rng, channels=4, growth=2, num_layers=2).astype(f64)
     jitter_parameters(module, rng)
     bundle = [_rand(rng, (1, 4, 8, 8)), _rand(rng, (1, 4, 4, 4)),
               _rand(rng, (1, 4, 2, 2)), _rand(rng, (1, 4, 1, 1))]
@@ -193,7 +193,7 @@ def block_checks(rng):
 
 
 def model_checks(rng):
-    model = SegmentationModel(MICRO_CONFIG, dtype=np.float64)
+    model = SegmentationModel(MICRO_CONFIG).astype(np.float64)
     jitter_parameters(model, rng)
     model.set_training(True)
     data_rng = np.random.default_rng(11)

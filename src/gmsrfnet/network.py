@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import ConvBlock, Layer, ResidualStage, RfbBlock
-from .errors import ConfigError, CorruptionError, FormatError, ShapeError
+from .errors import ConfigError, CorruptionError, FormatError, ShapeError, config_fields
 from .gmsrf import GmsrfModule
-from .tensor import DEFAULT_DTYPE, Tensor, concat_channels, resize_bilinear, sigmoid
+from .tensor import Tensor, concat_channels, resize_bilinear, sigmoid
 
 CHECKPOINT_MAGIC = b"GMSRF1"
 
@@ -61,25 +61,23 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(d):
-        return ModelConfig(**{**d, "encoder_widths": tuple(d["encoder_widths"])})
+        return ModelConfig(**config_fields(ModelConfig, d))
 
 
 class Encoder(Layer):
     """Stride-2 stem plus four downsampling residual stages producing
     features at strides 4/8/16/32, each reduced to the bundle width."""
 
-    def __init__(self, rng, config, dtype=DEFAULT_DTYPE):
+    def __init__(self, rng, config):
         super().__init__()
         w1, w2, w3, w4 = config.encoder_widths
         c0 = config.rfb_channels
-        self.stem = ConvBlock(rng, 3, w1, 3, stride=2, padding=1, dtype=dtype)
+        self.stem = ConvBlock(rng, 3, w1, 3, stride=2, padding=1)
         self.stages = [
-            ResidualStage(rng, w1, w1, downsample=True, dtype=dtype),
-            ResidualStage(rng, w1, w2, downsample=True, dtype=dtype),
-            ResidualStage(rng, w2, w3, downsample=True, dtype=dtype),
-            ResidualStage(rng, w3, w4, downsample=True, dtype=dtype),
+            ResidualStage(rng, cin, cout, downsample=True)
+            for cin, cout in zip((w1, w1, w2, w3), (w1, w2, w3, w4))
         ]
-        self.reducers = [RfbBlock(rng, w, c0, dtype=dtype) for w in (w1, w2, w3, w4)]
+        self.reducers = [RfbBlock(rng, w, c0) for w in (w1, w2, w3, w4)]
 
     def forward(self, image):
         x = self.stem(image)
@@ -95,16 +93,13 @@ class Decoder(Layer):
     upscales the previous decoder output by a stride-2 transposed conv and
     mixes it with the same-scale bundle feature through a 3x3 conv."""
 
-    def __init__(self, rng, channels, dtype=DEFAULT_DTYPE):
+    def __init__(self, rng, channels):
         super().__init__()
         self.up = [
-            ConvBlock(rng, channels, channels, 4, stride=2, padding=1, transpose=True, dtype=dtype)
+            ConvBlock(rng, channels, channels, 4, stride=2, padding=1, transpose=True)
             for _ in range(3)
         ]
-        self.mix = [
-            ConvBlock(rng, 2 * channels, channels, 3, padding=1, dtype=dtype)
-            for _ in range(3)
-        ]
+        self.mix = [ConvBlock(rng, 2 * channels, channels, 3, padding=1) for _ in range(3)]
 
     def forward(self, bundle):
         x1, x2, x3, x4 = bundle
@@ -126,13 +121,10 @@ class SupervisionHeads(Layer):
     match the class imbalance instead of 0.5, which substantially speeds up
     early training on sparse masks."""
 
-    def __init__(self, rng, channels, out_size, dtype=DEFAULT_DTYPE):
+    def __init__(self, rng, channels, out_size):
         super().__init__()
         self.out_size = out_size
-        self.convs = [
-            ConvBlock(rng, channels, 1, 1, act="linear", norm=False, dtype=dtype)
-            for _ in range(4)
-        ]
+        self.convs = [ConvBlock(rng, channels, 1, 1, act="linear", norm=False) for _ in range(4)]
         prior_logit = float(np.log(FOREGROUND_PRIOR / (1.0 - FOREGROUND_PRIOR)))
         for conv in self.convs:
             conv.bias.data[:] = prior_logit
@@ -148,19 +140,19 @@ class SupervisionHeads(Layer):
 class SegmentationModel(Layer):
     """Encoder -> stacked fusion modules -> decoder -> supervision heads."""
 
-    def __init__(self, config, dtype=DEFAULT_DTYPE, rng=None):
+    def __init__(self, config, rng=None):
         super().__init__()
         if rng is None:
             rng = np.random.default_rng(config.seed)
         self.config = config
-        self.encoder = Encoder(rng, config, dtype=dtype)
+        self.encoder = Encoder(rng, config)
         self.modules = [
             GmsrfModule(rng, config.rfb_channels, config.growth,
-                        config.layers_per_module, config.se_reduction, dtype=dtype)
+                        config.layers_per_module, config.se_reduction)
             for _ in range(config.num_modules)
         ]
-        self.decoder = Decoder(rng, config.rfb_channels, dtype=dtype)
-        self.heads = SupervisionHeads(rng, config.rfb_channels, config.input_size, dtype=dtype)
+        self.decoder = Decoder(rng, config.rfb_channels)
+        self.heads = SupervisionHeads(rng, config.rfb_channels, config.input_size)
 
     def forward(self, image):
         n, c, h, w = image.shape
@@ -174,8 +166,8 @@ class SegmentationModel(Layer):
         return self.heads(self.decoder(bundle))
 
 
-def build_model(config, dtype=DEFAULT_DTYPE):
-    return SegmentationModel(config, dtype=dtype)
+def build_model(config):
+    return SegmentationModel(config)
 
 
 # -- checkpoint persistence -----------------------------------------------------
@@ -245,7 +237,7 @@ def _payload_length(index):
     return offset
 
 
-def load_checkpoint(path, dtype=DEFAULT_DTYPE):
+def load_checkpoint(path):
     """Rebuild a model from a checkpoint file; verifies magic, CRC, and the
     agreement between the stored config and every stored tensor shape and
     offset."""
@@ -264,7 +256,7 @@ def load_checkpoint(path, dtype=DEFAULT_DTYPE):
         header = json.loads(blob[pos : pos + header_len].decode())
         config = ModelConfig.from_dict(header["config"])
         index = header["tensors"]
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, ConfigError) as e:
         raise FormatError(f"unreadable checkpoint header: {e}") from e
     pos += header_len
 
@@ -279,7 +271,7 @@ def load_checkpoint(path, dtype=DEFAULT_DTYPE):
     if (zlib.crc32(payload) & 0xFFFFFFFF) != stored_crc:
         raise CorruptionError("checkpoint payload CRC mismatch")
 
-    model = build_model(config, dtype=dtype)
+    model = build_model(config)
     state = _named_state(model)
     if set(state) != set(index):
         missing = set(state) ^ set(index)
@@ -293,5 +285,5 @@ def load_checkpoint(path, dtype=DEFAULT_DTYPE):
         start = entry["offset"]
         count = int(np.prod(shape))
         values = np.frombuffer(payload, dtype="<f4", count=count, offset=start)
-        arr[...] = values.reshape(shape).astype(arr.dtype)
+        arr[...] = values.reshape(shape)
     return model

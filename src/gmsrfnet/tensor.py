@@ -6,7 +6,7 @@ of the graph: the op's inputs, a backward closure and a creation number.
 reverse creation order, depositing gradients on the leaf tensors that
 requested them. A graph nobody back-propagates is freed with its tensors.
 float32 is the working precision; float64 is supported end to end for
-finite-difference gradient checking.
+finite-difference gradient checking (``Layer.astype`` casts a model).
 
 Vectors (biases) and matrices (projection weights) are represented as 4-D
 tensors of shape (1, C, 1, 1) and (Cout, Cin, 1, 1) so that every learnable
@@ -71,16 +71,6 @@ class Tensor:
         self._backward_fn = None
         self._seq = None
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def zeros(shape, requires_grad=False, dtype=DEFAULT_DTYPE):
-        return Tensor(np.zeros(shape, dtype), requires_grad=requires_grad)
-
-    @staticmethod
-    def full(shape, value, requires_grad=False, dtype=DEFAULT_DTYPE):
-        return Tensor(np.full(shape, value, dtype), requires_grad=requires_grad)
-
     # -- basic introspection --------------------------------------------------
 
     @property
@@ -100,48 +90,8 @@ class Tensor:
             raise ShapeError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self):
-        """The raw data array (shared; do not mutate it while a graph that
-        saved it is still to be back-propagated)."""
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
-
-    # -- operator sugar -------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return scale_shift(self, 1.0, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return scale_shift(self, 1.0, -float(other))
-
-    def __rsub__(self, other):
-        return scale_shift(self, -1.0, float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale_shift(self, float(other), 0.0)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return divide(self, other)
-        return scale_shift(self, 1.0 / float(other), 0.0)
-
-    def __neg__(self):
-        return scale_shift(self, -1.0, 0.0)
-
-    def backward(self):
-        backward(self)
 
 
 def vector(values, requires_grad=False, dtype=DEFAULT_DTYPE):
@@ -150,10 +100,6 @@ def vector(values, requires_grad=False, dtype=DEFAULT_DTYPE):
     if arr.ndim != 1:
         raise ShapeError(f"vector expects 1-D values, got shape {arr.shape}")
     return Tensor(arr.reshape(1, -1, 1, 1), requires_grad=requires_grad)
-
-
-def scalar(value, dtype=DEFAULT_DTYPE):
-    return Tensor(np.full((1, 1, 1, 1), value, dtype))
 
 
 # -- recording ----------------------------------------------------------------
@@ -429,15 +375,6 @@ def add(x, y):
     return _record(x.data + y.data, [x, y], backward_fn)
 
 
-def sub(x, y):
-    _check_same_shape("sub", x, y)
-
-    def backward_fn(g):
-        return g, -g
-
-    return _record(x.data - y.data, [x, y], backward_fn)
-
-
 def mul(x, y):
     _check_same_shape("mul", x, y)
 
@@ -543,25 +480,15 @@ def activation(x, kind, alpha=0.01):
 # -- normalization ------------------------------------------------------------
 
 
-class BatchNormState:
-    """Running-statistics buffers for batch normalization."""
-
-    def __init__(self, channels, dtype=DEFAULT_DTYPE):
-        self.running_mean = np.zeros((1, channels, 1, 1), dtype)
-        self.running_var = np.ones((1, channels, 1, 1), dtype)
-        self.num_updates = np.zeros((1, 1, 1, 1), dtype)
-
-    @property
-    def initialized(self):
-        return float(self.num_updates.reshape(-1)[0]) > 0
-
-
 def batch_norm(x, gamma, beta, state, training, eps=1e-5, momentum=0.1):
     """Per-channel batch normalization with running statistics.
 
-    Train mode normalizes by batch mean/variance over (N, H, W) and blends
-    the running statistics; eval mode normalizes by the running statistics
-    and requires at least one prior training update.
+    ``state`` is any object holding the (1, C, 1, 1) arrays
+    ``running_mean`` and ``running_var`` and the (1, 1, 1, 1) update count
+    ``num_updates``, such as a ``blocks.BatchNorm2d``; train mode updates
+    them in place. Train mode normalizes by batch mean/variance over
+    (N, H, W) and blends the running statistics; eval mode normalizes by the
+    running statistics and requires at least one prior training update.
     """
     n, c, h, w = x.shape
     if gamma.shape != (1, c, 1, 1) or beta.shape != (1, c, 1, 1):
@@ -585,7 +512,7 @@ def batch_norm(x, gamma, beta, state, training, eps=1e-5, momentum=0.1):
         state.running_var += m * unbiased
         state.num_updates += 1
     else:
-        if not state.initialized:
+        if not state.num_updates.item() > 0:
             raise StateError("batch_norm: eval mode before any training update")
         mean = state.running_mean
         var = state.running_var

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import AugmentPolicy, augment, read_pnm, resize_image, write_pnm
-from .errors import ConfigError, FormatError, NumericsError
+from .data import AugmentPolicy, augment, read_pnm, resize_image, resize_mask, write_pnm
+from .errors import ConfigError, FormatError, NumericsError, config_fields
 from .losses import build_report, total_loss
 from .network import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from .optim import Adam
@@ -52,6 +52,10 @@ class TrainConfig:
             raise ConfigError("seed must be non-negative")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.max_steps is not None and (type(self.max_steps) is not int or self.max_steps < 1):
+            raise ConfigError(f"max_steps must be a positive int or null, got {self.max_steps!r}")
+        if not isinstance(self.model, ModelConfig):
+            raise ConfigError(f"model must be a ModelConfig object, got {self.model!r}")
 
     def to_dict(self):
         d = dataclasses.asdict(self)
@@ -60,12 +64,16 @@ class TrainConfig:
 
     @staticmethod
     def from_dict(d):
-        return TrainConfig(**d)
+        return TrainConfig(**config_fields(TrainConfig, d))
 
     @staticmethod
     def from_json(path):
         with open(path) as f:
-            return TrainConfig.from_dict(json.load(f))
+            try:
+                d = json.load(f)
+            except (ValueError, RecursionError) as e:
+                raise ConfigError(f"{path}: not a JSON document: {e}") from e
+        return TrainConfig.from_dict(d)
 
 
 @dataclass
@@ -103,10 +111,6 @@ def _mean_dsc(model, dataset, batch_size=8):
     return report.means["dsc"]
 
 
-def best_checkpoint_path(final_path):
-    return final_path + ".best"
-
-
 def train(cfg, train_set, val_set=None, out_path=None, log_path=None):
     """Run the training loop; returns the model, per-epoch log rows, and the
     raw per-step loss trace.
@@ -127,7 +131,7 @@ def train(cfg, train_set, val_set=None, out_path=None, log_path=None):
     model = build_model(cfg.model)
     adam = Adam(model.named_parameters(), cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
     policy = AugmentPolicy() if cfg.augment else None
-    best_path = best_checkpoint_path(out_path) if out_path else None
+    best_path = out_path + ".best" if out_path else None
 
     epoch_rows = []
     step_losses = []
@@ -239,11 +243,8 @@ def predict(checkpoint_path, image_path, out_mask_path, threshold=0.5):
     with no_grad():
         maps = model(Tensor(resized[None]))
     prob = maps[-1].data[0, 0]
-    mask_small = (prob >= threshold)
-    rows = np.minimum((np.arange(orig_h) + 0.5) * size // orig_h, size - 1).astype(int)
-    cols = np.minimum((np.arange(orig_w) + 0.5) * size // orig_w, size - 1).astype(int)
-    mask = mask_small[rows][:, cols]
-    write_pnm((mask[None].astype(np.float32)), out_mask_path)
+    write_pnm(resize_mask((prob >= threshold)[None].astype(np.float32), orig_h, orig_w),
+              out_mask_path)
 
 
 # -- generalization report ---------------------------------------------------------

@@ -207,9 +207,10 @@ class TestAcceptance:
             ("b", default_center_b, 502, 4),
         ):
             ds = generate_center(maker(seed=seed), 380, 64)
-            split_dataset(ds, ratios=(300 / 380, 40 / 380, 40 / 380), seed=1)
-            assert (len(ds.subset("train")), len(ds.subset("val")), len(ds.subset("test"))) \
-                == (300, 40, 40)
+            parts = split_dataset(ds, ratios=(300 / 380, 40 / 380, 40 / 380), seed=1)
+            assert tuple(len(p) for p in parts) == (300, 40, 40)
+            # the whole center with split tags, in generation order
+            ds.samples = sorted((s for p in parts for s in p), key=lambda s: s.id)
             datasets[name] = ds
             cfg = TrainConfig(lr=1e-3, batch_size=8, epochs=20, seed=9, augment=True,
                               model=ModelConfig(seed=model_seed, **PROTOCOL_MODEL))

@@ -38,7 +38,7 @@ class TestConvBlock:
         assert y.shape[2:] == (8, 8)
 
     def test_gradcheck(self, rng):
-        block = ConvBlock(rng, 2, 3, 3, padding=1, dtype=np.float64)
+        block = ConvBlock(rng, 2, 3, 3, padding=1).astype(np.float64)
         x = Tensor(rng.normal(size=(2, 2, 5, 5)), requires_grad=True, dtype=np.float64)
         err = max_grad_error(lambda: T.reduce_mean(T.mul(block(x), block(x))),
                              [x] + block.parameters())
@@ -150,7 +150,7 @@ class TestResidualStage:
         assert y.shape == (1, 8, 8, 8)
 
     def test_gradcheck(self, rng):
-        stage = ResidualStage(rng, 2, 3, downsample=True, dtype=np.float64)
+        stage = ResidualStage(rng, 2, 3, downsample=True).astype(np.float64)
         x = Tensor(rng.normal(size=(1, 2, 6, 6)), requires_grad=True, dtype=np.float64)
         err = max_grad_error(lambda: T.reduce_mean(T.mul(stage(x), stage(x))),
                              [x] + stage.parameters(), max_coords=80, rng=rng)

@@ -114,6 +114,15 @@ class TestSplit:
         assert all(s.split == "val" for s in val)
         assert all(s.split == "test" for s in test)
 
+    def test_input_samples_keep_their_split(self):
+        ds = self._dataset(20)
+        ds.samples[0].split = "held-out"
+        before = list(ds.samples)
+        parts = split_dataset(ds, seed=2)
+        assert len(ds) == 20 and all(a is b for a, b in zip(ds.samples, before))
+        assert [s.split for s in ds] == ["held-out"] + [""] * 19
+        assert not any(s is t for p in parts for s in p for t in before)
+
 
 class TestPnm:
     def test_roundtrip_bytes_exact(self, tmp_path):
@@ -245,7 +254,8 @@ class TestAugment:
 class TestFolderIo:
     def test_save_load_roundtrip(self, tmp_path):
         ds = generate_center(default_center_a(), 5, 32)
-        split_dataset(ds, seed=0)
+        ds.samples = sorted((s for p in split_dataset(ds, seed=0) for s in p), key=lambda s: s.id)
+        assert {s.split for s in ds} == {"train", "val", "test"}
         save_dataset(ds, tmp_path)
         loaded = load_folder(tmp_path, input_size=32)
         assert len(loaded) == 5

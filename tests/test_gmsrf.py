@@ -192,7 +192,7 @@ class TestModuleForward:
     def test_gradcheck_micro_module(self, rng):
         from gmsrfnet.gradchecks import jitter_parameters
 
-        module = GmsrfModule(rng, channels=4, growth=2, num_layers=2, dtype=np.float64)
+        module = GmsrfModule(rng, channels=4, growth=2, num_layers=2).astype(np.float64)
         jitter_parameters(module, rng)
         bundle = [
             Tensor(rng.normal(size=(1, 4, 8, 8)), requires_grad=True, dtype=np.float64),

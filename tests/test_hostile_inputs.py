@@ -1,0 +1,170 @@
+"""Property tests: malformed configs, manifests and PNM files give a value or
+a GmsrfError subclass, never a bare Python or numpy exception."""
+import dataclasses
+import json
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gmsrfnet.data import (
+    CenterSpec,
+    Dataset,
+    default_center_a,
+    generate_center,
+    load_folder,
+    read_pnm,
+    save_dataset,
+)
+from gmsrfnet.errors import ConfigError, FormatError
+from gmsrfnet.network import ModelConfig
+from gmsrfnet.train import TrainConfig
+
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.integers(-2**70, 2**70) | st.text(max_size=6))
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+# values near what the fields hold: small numbers and short numeric lists
+PLAUSIBLE = (st.integers(-2, 300) | st.floats(-1.0, 1.0) | st.sampled_from(["smooth-ellipse", "x"])
+             | st.lists(st.integers(0, 300) | st.floats(0.0, 1.0), max_size=5))
+
+
+def field_dicts(cls, values=JSON | PLAUSIBLE):
+    """Dicts keyed by the real field names of ``cls`` with random values."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    return st.dictionaries(st.sampled_from(names), values, max_size=len(names))
+
+
+def value_or_error(parse, arg, cls, error):
+    try:
+        result = parse(arg)
+    except error:
+        return
+    assert isinstance(result, cls)
+
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+class TestConfigs:
+    @SETTINGS
+    @given(JSON | field_dicts(ModelConfig))
+    def test_model_config(self, d):
+        value_or_error(ModelConfig.from_dict, d, ModelConfig, ConfigError)
+
+    @SETTINGS
+    @given(JSON | field_dicts(CenterSpec))
+    def test_center_spec(self, d):
+        value_or_error(CenterSpec.from_dict, d, CenterSpec, ConfigError)
+
+    @SETTINGS
+    @given(JSON | field_dicts(TrainConfig, JSON | PLAUSIBLE | field_dicts(ModelConfig)))
+    def test_train_config(self, d):
+        value_or_error(TrainConfig.from_dict, d, TrainConfig, ConfigError)
+
+    @SETTINGS
+    @given(st.binary(max_size=60) | JSON.map(lambda d: json.dumps(d).encode()))
+    def test_train_config_file(self, blob):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "train.json")
+            with open(path, "wb") as f:
+                f.write(blob)
+            value_or_error(TrainConfig.from_json, path, TrainConfig, ConfigError)
+
+    @pytest.mark.parametrize("d", [
+        {"bogus": 1}, {"lr": "x"}, {"batch_size": None}, [], {"model": "x"},
+        {"max_steps": 0}, {"lr": float("nan")}, {"epochs": 2.0}, {"augment": 1},
+    ])
+    def test_measured_train_config_cases(self, d):
+        with pytest.raises(ConfigError):
+            TrainConfig.from_dict(d)
+
+    @pytest.mark.parametrize("cls,d", [
+        (CenterSpec, {"blob_radius": 5}), (CenterSpec, {"bogus": 1}),
+        (CenterSpec, {"blob_count": [1]}), (CenterSpec, {"fg_mean": [0.5, 0.5]}),
+        (ModelConfig, {"encoder_widths": [8, 8]}), (ModelConfig, {"seed": True}),
+    ])
+    def test_measured_spec_and_model_cases(self, cls, d):
+        with pytest.raises(ConfigError):
+            cls.from_dict(d)
+
+    def test_deeply_nested_file(self, tmp_path):
+        path = tmp_path / "train.json"
+        path.write_text("[" * 100000)
+        with pytest.raises(ConfigError):
+            TrainConfig.from_json(path)
+
+    def test_partial_dicts_fill_defaults(self):
+        assert ModelConfig.from_dict({"input_size": 64}) == ModelConfig(input_size=64)
+        assert TrainConfig.from_dict({"lr": 1, "model": {"growth": 2}}) == TrainConfig(
+            lr=1.0, model=ModelConfig(growth=2))
+
+
+@pytest.fixture(scope="module")
+def folder():
+    with tempfile.TemporaryDirectory() as tmp:
+        save_dataset(generate_center(default_center_a(), 2, 16), tmp)
+        yield tmp
+
+
+def write_manifest(folder, text):
+    with open(os.path.join(folder, "dataset.json"), "w") as f:
+        f.write(text)
+
+
+ENTRIES = st.lists(st.fixed_dictionaries({}, optional={
+    "id": st.sampled_from(["center-a_00000", "center-a_00001"]) | JSON,
+    "center_id": JSON, "split": st.sampled_from(["train", "val"]) | JSON,
+}), max_size=3)
+MANIFESTS = JSON | st.fixed_dictionaries({}, optional={
+    "center_id": st.text(max_size=4) | JSON, "spec": JSON | field_dicts(CenterSpec),
+    "samples": ENTRIES | JSON,
+})
+
+
+class TestManifest:
+    @SETTINGS
+    @given(MANIFESTS)
+    def test_manifest(self, folder, manifest):
+        write_manifest(folder, json.dumps(manifest))
+        value_or_error(lambda f: load_folder(f, 16), folder, Dataset, FormatError)
+
+    @pytest.mark.parametrize("text", [
+        "[]", '{"samples": [{"split": "x"}]}', '{"samples": "ab"}', "{", '{"spec": {"seed": -1}}',
+        '{"center_id": 5}', '{"samples": [{"id": "center-a_00000", "split": 3}]}',
+        pytest.param("[" * 100000, id="deeply-nested"),
+    ])
+    def test_measured_manifest_cases(self, folder, text):
+        write_manifest(folder, text)
+        with pytest.raises(FormatError):
+            load_folder(folder, 16)
+
+
+PNM_HEADERS = st.builds(
+    lambda magic, w, h, maxval, sep: b"%s%s%d %d%s%d\n" % (magic, sep, w, h, sep, maxval),
+    st.sampled_from([b"P5", b"P6"]), st.integers(-3, 5), st.integers(-3, 5),
+    st.sampled_from([255, 0, -1, 65535]), st.sampled_from([b"\n", b" ", b"\n#c\n"]),
+)
+
+
+class TestPnm:
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=40) | st.tuples(PNM_HEADERS, st.binary(max_size=80)).map(b"".join))
+    def test_read_pnm(self, blob):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "x.pnm")
+            with open(path, "wb") as f:
+                f.write(blob)
+            value_or_error(read_pnm, path, np.ndarray, FormatError)
+
+    def test_negative_size_rejected(self, tmp_path):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"P5\n-1 -1\n255\n\0")
+        with pytest.raises(FormatError):
+            read_pnm(path)

@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 
 from gmsrfnet.errors import ConfigError, CorruptionError, FormatError, ShapeError
+from gmsrfnet.losses import total_loss
 from gmsrfnet.network import (
     CHECKPOINT_MAGIC,
     Decoder,
     Encoder,
     ModelConfig,
+    SegmentationModel,
     SupervisionHeads,
     build_model,
     load_checkpoint,
     save_checkpoint,
 )
-from gmsrfnet.tensor import Tensor
+from gmsrfnet.optim import Adam
+from gmsrfnet.tensor import Tensor, backward
 
 MICRO = ModelConfig(input_size=32, encoder_widths=(4, 8, 8, 8), rfb_channels=4,
                     growth=2, layers_per_module=2, num_modules=1, seed=3)
@@ -190,6 +193,37 @@ class TestRegistry:
         assert all(p.requires_grad for _, p in model.named_parameters())
 
 
+def named_arrays(model):
+    return [(n, p.data) for n, p in model.named_parameters()] + list(model.named_buffers())
+
+
+class TestAstype:
+    def test_casts_every_parameter_and_buffer_in_place(self):
+        ref = SegmentationModel(MICRO)
+        model = SegmentationModel(MICRO)
+        assert model.astype(np.float64) is model
+        before, after = named_arrays(ref), named_arrays(model)
+        assert [n for n, _ in after] == [n for n, _ in before]
+        for (name, a), (_, b) in zip(before, after):
+            assert a.dtype == np.float32 and b.dtype == np.float64, name
+            assert b.shape == a.shape and np.array_equal(b, a.astype(np.float64)), name
+
+    def test_float64_model_runs_backward_and_adam(self):
+        model = SegmentationModel(MICRO).astype(np.float64)
+        adam = Adam(model.named_parameters(), lr=1e-3)
+        rng = np.random.default_rng(2)
+        image = Tensor(rng.uniform(0, 1, (2, 3, 32, 32)), dtype=np.float64)
+        target = (rng.uniform(0, 1, (2, 1, 32, 32)) > 0.7).astype(np.float64)
+        loss = total_loss(model(image), target)
+        assert loss.dtype == np.float64
+        backward(loss)
+        assert all(p.grad.dtype == np.float64 for p in model.parameters())
+        start = [p.data.copy() for p in model.parameters()]
+        adam.step()
+        assert any(not np.array_equal(a, p.data) for a, p in zip(start, model.parameters()))
+        assert all(a.dtype == np.float64 for _, a in named_arrays(model))
+
+
 def edit_header(edit):
     """Blob transform that applies ``edit`` to the parsed header JSON."""
 
@@ -220,6 +254,10 @@ MALFORMED_CHECKPOINTS = [
     pytest.param(edit_header(lambda h: entry(h, 1).update(offset=entry(h, 1)["offset"] + 4)),
                  FormatError, id="offset-shifted-by-4"),
     pytest.param(lambda blob: blob + b"\0\0\0\0", CorruptionError, id="trailing-bytes"),
+    pytest.param(edit_header(lambda h: h["config"].update(input_size=48)), FormatError,
+                 id="config-invalid"),
+    pytest.param(edit_header(lambda h: h["config"].update(growth="2")), FormatError,
+                 id="config-mistyped"),
 ]
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gmsrfnet import tensor as T
+from gmsrfnet.blocks import BatchNorm2d
 from gmsrfnet.errors import NumericsError, ShapeError, StateError, UsageError
 from gmsrfnet.network import ModelConfig, build_model
 from gmsrfnet.tensor import Tensor, backward, finite_diff_gradcheck, max_grad_error
@@ -238,8 +239,7 @@ class TestBatchNorm:
     def test_two_value_normalization(self):
         x = Tensor(np.array([1.0, 3.0], np.float32).reshape(2, 1, 1, 1))
         gamma, beta = T.vector([1.0]), T.vector([0.0])
-        state = T.BatchNormState(1)
-        y = T.batch_norm(x, gamma, beta, state, training=True)
+        y = T.batch_norm(x, gamma, beta, BatchNorm2d(1), training=True)
         expected = reference.batchnorm_loops(x.data, [1.0], [0.0])
         np.testing.assert_allclose(y.data, expected, rtol=1e-6)
         np.testing.assert_allclose(y.data.ravel(), [-0.99999, 0.99999], atol=1e-4)
@@ -250,22 +250,22 @@ class TestBatchNorm:
         raw -= raw.mean(axis=(0, 2, 3), keepdims=True)
         raw /= raw.std(axis=(0, 2, 3), keepdims=True)
         x = Tensor(raw)
-        y = T.batch_norm(x, T.vector([1, 1]), T.vector([0, 0]), T.BatchNormState(2), True)
+        y = T.batch_norm(x, T.vector([1, 1]), T.vector([0, 0]), BatchNorm2d(2), True)
         np.testing.assert_allclose(y.data, raw, atol=1e-4)
 
     def test_beta_shift(self):
         x = Tensor(np.random.default_rng(6).normal(size=(2, 1, 3, 3)).astype(np.float32))
-        y = T.batch_norm(x, T.vector([0.0]), T.vector([5.0]), T.BatchNormState(1), True)
+        y = T.batch_norm(x, T.vector([0.0]), T.vector([5.0]), BatchNorm2d(1), True)
         np.testing.assert_allclose(y.data, 5.0, rtol=1e-6)
 
     def test_eval_before_train_raises(self):
         x = Tensor(np.zeros((1, 1, 2, 2)))
         with pytest.raises(StateError):
-            T.batch_norm(x, T.vector([1.0]), T.vector([0.0]), T.BatchNormState(1), False)
+            T.batch_norm(x, T.vector([1.0]), T.vector([0.0]), BatchNorm2d(1), False)
 
     def test_eval_uses_running_stats(self):
         rng = np.random.default_rng(7)
-        state = T.BatchNormState(1)
+        state = BatchNorm2d(1)
         gamma, beta = T.vector([1.0]), T.vector([0.0])
         for _ in range(200):
             x = Tensor(rng.normal(2.0, 3.0, size=(8, 1, 4, 4)).astype(np.float32))
@@ -277,7 +277,7 @@ class TestBatchNorm:
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
             T.batch_norm(Tensor(np.zeros((1, 2, 2, 2))), T.vector([1.0]), T.vector([0.0]),
-                         T.BatchNormState(2), True)
+                         BatchNorm2d(2), True)
 
 
 class TestPoolLinearResize:
@@ -502,7 +502,7 @@ class TestGradcheckHarness:
         w = Tensor(rng.normal(size=(2, 2, 3, 3)), dtype=np.float64, requires_grad=True)
         gamma = Tensor(rng.uniform(0.5, 1.5, (1, 2, 1, 1)), dtype=np.float64, requires_grad=True)
         beta = Tensor(rng.normal(size=(1, 2, 1, 1)), dtype=np.float64, requires_grad=True)
-        state = T.BatchNormState(2, np.float64)
+        state = BatchNorm2d(2).astype(np.float64)
         x = Tensor(rng.normal(size=(2, 2, 5, 5)), dtype=np.float64, requires_grad=True)
 
         def f():

@@ -9,6 +9,7 @@ from gmsrfnet.data import (
     default_center_b,
     generate_center,
     read_pnm,
+    resize_image,
     split_dataset,
     write_pnm,
 )
@@ -16,6 +17,7 @@ from gmsrfnet.errors import FormatError, NumericsError
 from gmsrfnet.losses import build_report
 from gmsrfnet.network import ModelConfig, load_checkpoint
 from gmsrfnet.optim import Adam
+from gmsrfnet.tensor import Tensor, no_grad
 from gmsrfnet.train import (
     TrainConfig,
     evaluate,
@@ -197,6 +199,29 @@ class TestPredict:
         payload = raw.split(b"255\n", 1)[1]
         assert set(payload) <= {0, 255}
 
+    def test_mask_is_model_map_mapped_back_to_native_size(self, tiny_data, tmp_path):
+        train_set, _, _ = tiny_data
+        out = str(tmp_path / "m.ckpt")
+        train(tiny_config(epochs=1), train_set, None, out)
+        img_path, mask_path = str(tmp_path / "in.ppm"), str(tmp_path / "out.pgm")
+        write_pnm(np.random.default_rng(8).uniform(0, 1, (3, 50, 37)), img_path)
+        model = load_checkpoint(out)
+        size = model.config.input_size
+        model.set_training(False)
+        with no_grad():
+            prob = model(Tensor(resize_image(read_pnm(img_path), size, size)[None]))[-1].data[0, 0]
+        threshold = float(np.median(prob))
+        predict(out, img_path, mask_path, threshold)
+        expected = np.zeros((1, 50, 37), np.float32)
+        for r in range(50):
+            for c in range(37):
+                # the source pixel is the one holding this output pixel's center
+                src_r = min(int((r + 0.5) * size / 50), size - 1)
+                src_c = min(int((c + 0.5) * size / 37), size - 1)
+                expected[0, r, c] = prob[src_r, src_c] >= threshold
+        assert 0 < expected.sum() < expected.size
+        assert np.array_equal(read_pnm(mask_path), expected)
+
     def test_deterministic_output(self, tiny_data, tmp_path):
         train_set, _, _ = tiny_data
         out = str(tmp_path / "m.ckpt")
@@ -210,12 +235,17 @@ class TestPredict:
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+def tagged(ds):
+    """ds with every sample carrying its split tag, in generation order."""
+    parts = split_dataset(ds, ratios=(0.5, 0.25, 0.25), seed=0)
+    ds.samples = sorted((s for p in parts for s in p), key=lambda s: s.id)
+    return ds
+
+
 class TestGeneralizationReport:
     def test_structure_and_ranges(self, tmp_path):
-        ds_a = generate_center(default_center_a(seed=21), 16, 32)
-        ds_b = generate_center(default_center_b(seed=22), 16, 32)
-        split_dataset(ds_a, ratios=(0.5, 0.25, 0.25), seed=0)
-        split_dataset(ds_b, ratios=(0.5, 0.25, 0.25), seed=0)
+        ds_a = tagged(generate_center(default_center_a(seed=21), 16, 32))
+        ds_b = tagged(generate_center(default_center_b(seed=22), 16, 32))
         cfg = tiny_config(epochs=2, batch_size=4)
         ra = train(cfg, ds_a.subset("train"), None)
         rb = train(cfg, ds_b.subset("train"), None)
@@ -231,8 +261,7 @@ class TestGeneralizationReport:
         assert (tmp_path / "gen.csv").exists() and (tmp_path / "gen.json").exists()
 
     def test_identical_centers_small_gap(self):
-        ds = generate_center(default_center_a(seed=30), 24, 32)
-        split_dataset(ds, ratios=(0.5, 0.25, 0.25), seed=0)
+        ds = tagged(generate_center(default_center_a(seed=30), 24, 32))
         cfg = tiny_config(epochs=6, batch_size=4, lr=3e-3)
         result = train(cfg, ds.subset("train"), None)
         rows = generalization_report(result.model, result.model, ds, ds)
