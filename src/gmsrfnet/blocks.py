@@ -2,7 +2,9 @@
 resamplers, dilated receptive-field reduction, and residual encoder stages."""
 from __future__ import annotations
 
+import itertools
 import math
+import weakref
 
 import numpy as np
 
@@ -40,72 +42,117 @@ def he_weight(rng, shape, fan_in, act="leaky_relu"):
     return Tensor(rng.normal(0.0, std, shape).astype(DEFAULT_DTYPE), requires_grad=True)
 
 
+class Arena:
+    """A layer tree's state in flat arrays, built by one walk of its registry.
+
+    Every parameter's ``data`` and ``grad`` is a view of ``params`` and
+    ``grads``, every batch-norm running buffer a view of ``buffers``.
+    ``names``, ``shapes`` and element ``offsets`` list the parameters, then
+    the buffers, in registry order, which is the checkpoint payload order.
+    ``layers`` is the tree in pre-order, its root as a weak proxy so that no
+    reference cycle keeps a dropped model alive.
+    """
+
+    def __init__(self, root):
+        self.layers, self.names, self.tensors = [], [], []
+        self.slots = []  # (name, layer, attribute) of each buffer
+        self._visit("", weakref.proxy(root))
+        self.names += [name for name, _, _ in self.slots]
+        arrays = [t.data for t in self.tensors] + [getattr(l, attr) for _, l, attr in self.slots]
+        dtypes = {a.dtype for a in arrays} or {np.dtype(DEFAULT_DTYPE)}
+        if len(dtypes) > 1:
+            raise UsageError(f"layer state mixes dtypes {sorted(d.name for d in dtypes)}")
+        self.shapes = [a.shape for a in arrays]
+        self.offsets = list(itertools.accumulate((a.size for a in arrays), initial=0))
+        empty, n = np.empty(0, dtypes.pop()), len(self.tensors)
+        self.params, self.buffers = (np.concatenate([a.reshape(-1) for a in part] + [empty])
+                                     for part in (arrays[:n], arrays[n:]))
+        self.grads = np.zeros_like(self.params)
+        self.bind()
+
+    def _visit(self, prefix, value):
+        """Append a layer, or each layer of a (nested) list or tuple named by
+        index, and everything below it."""
+        if isinstance(value, (list, tuple)):
+            for i, item in enumerate(value):
+                self._visit(f"{prefix}{i}.", item)
+            return
+        if not isinstance(value, Layer):
+            return
+        if self.layers:  # below the root, whose arena this one becomes
+            value._arena = False
+        self.layers.append(value)
+        children = []
+        for name, attr in vars(value).items():
+            if isinstance(attr, Tensor):
+                if attr.requires_grad:
+                    self.names.append(prefix + name)
+                    self.tensors.append(attr)
+            elif isinstance(attr, (Layer, list, tuple)):
+                children.append((prefix + name + ".", attr))
+        self.slots += [(prefix + name, value, name) for name in value._buffers]
+        for child_prefix, child in children:
+            self._visit(child_prefix, child)
+
+    def bind(self):
+        """Point every parameter, gradient and buffer at its slice."""
+        spans = zip(self.shapes, self.offsets, self.offsets[1:])  # parameters, then buffers
+        for t, (shape, a, b) in zip(self.tensors, spans):
+            t.data = self.params[a:b].reshape(shape)
+            t.grad = self.grads[a:b].reshape(shape)
+        base = self.params.size
+        for (_, layer, name), (shape, a, b) in zip(self.slots, spans):
+            setattr(layer, name, self.buffers[a - base : b - base].reshape(shape))
+
+
 class Layer:
     """Base for parameterized blocks.
 
     Child layers and parameter tensors are discovered from instance
     attributes in definition order, so registry names are stable. Layers
     inside (nested) lists and tuples are named by their indices, as in
-    ``attention.0.1``.
+    ``attention.0.1``. The first registry query walks the tree into its Arena.
     """
 
     _buffers = ()
 
     def __init__(self):
         self.training = True
+        self._arena = None  # built on first use; False inside another layer's arena
 
-    def _children(self):
-        def walk(name, value):
-            if isinstance(value, Layer):
-                yield name, value
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    yield from walk(f"{name}.{i}", item)
+    @property
+    def arena(self):
+        """The Arena of the layer tree rooted here. A layer inside another
+        layer's tree has none: its state lives in the root's arrays."""
+        if self._arena is None:
+            self._arena = Arena(self)
+        elif self._arena is False:
+            raise UsageError(f"{type(self).__name__} is part of a larger layer tree; use its root")
+        return self._arena
 
-        for name, value in vars(self).items():
-            yield from walk(name, value)
+    def named_parameters(self):
+        arena = self.arena
+        return list(zip(arena.names, arena.tensors))
 
-    def named_parameters(self, prefix=""):
-        for name, value in vars(self).items():
-            if isinstance(value, Tensor) and value.requires_grad:
-                yield prefix + name, value
-        for cname, child in self._children():
-            yield from child.named_parameters(prefix + cname + ".")
-
-    def named_buffers(self, prefix=""):
-        for name in self._buffers:
-            yield prefix + name, getattr(self, name)
-        for cname, child in self._children():
-            yield from child.named_buffers(prefix + cname + ".")
+    def named_buffers(self):
+        return [(name, getattr(layer, attr)) for name, layer, attr in self.arena.slots]
 
     def parameters(self):
-        return [p for _, p in self.named_parameters()]
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
+        return list(self.arena.tensors)
 
     def astype(self, dtype):
-        """Cast every parameter and buffer to ``dtype`` in place and return
-        self. Layers build float32; ``model.astype(np.float64)`` turns a
-        model into the float64 one that gradient checking needs.
-
-        Call it before creating an optimizer: Adam rebinds each parameter's
-        data to a view of its flat buffer, which a later cast would detach.
-        """
-        for value in vars(self).values():
-            if isinstance(value, Tensor) and value.requires_grad:
-                value.data = value.data.astype(dtype)
-        for name in self._buffers:
-            setattr(self, name, getattr(self, name).astype(dtype))
-        for _, child in self._children():
-            child.astype(dtype)
+        """Recast the arena to ``dtype``, rebinding every view, and return
+        self. Layers build float32; gradient checks use ``astype(np.float64)``.
+        An optimizer made before the cast keeps working."""
+        arena = self.arena
+        arena.params, arena.grads, arena.buffers = (
+            a.astype(dtype) for a in (arena.params, arena.grads, arena.buffers))
+        arena.bind()
         return self
 
     def set_training(self, flag):
-        self.training = bool(flag)
-        for _, child in self._children():
-            child.set_training(flag)
+        for layer in self.arena.layers:
+            layer.training = bool(flag)
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)

@@ -2,14 +2,13 @@
 the cross-center generalization report, and the gradient-check suite."""
 from __future__ import annotations
 
-import json
 import os
 import sys
 
 import click
 
 from .data import CenterSpec, generate_center, load_folder, save_dataset, split_dataset
-from .errors import ConfigError
+from .errors import ConfigError, read_json
 from .gradchecks import run_suite
 from .train import TrainConfig, evaluate, generalization_report, predict, train
 
@@ -41,8 +40,7 @@ def main():
 def generate_data_cmd(spec_path, n, out_dir, size, split_ratios, split_seed):
     """Render a synthetic center into images/, masks/, dataset.json."""
     if spec_path:
-        with open(spec_path) as f:
-            spec = CenterSpec.from_dict(json.load(f))
+        spec = CenterSpec.from_dict(read_json(spec_path))
     else:
         spec = CenterSpec()
     ratios = tuple(float(r) for r in split_ratios.split(","))

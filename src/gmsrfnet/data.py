@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError, config_fields
+from .errors import ConfigError, DataError, FormatError, check_fields, config_fields
 from .tensor import interp_matrix
 
 
@@ -39,6 +39,7 @@ class CenterSpec:
         self.validate()
 
     def validate(self):
+        check_fields(self)
         if self.family not in ("smooth-ellipse", "lumpy-polygon"):
             raise ConfigError(f"unknown blob family {self.family!r}")
         lo, hi = self.blob_radius
@@ -54,10 +55,7 @@ class CenterSpec:
             raise ConfigError("seed must be non-negative")
 
     def to_dict(self):
-        d = dataclasses.asdict(self)
-        for key in ("fg_mean", "bg_mean", "blob_count", "blob_radius"):
-            d[key] = list(d[key])
-        return d
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(d):

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the check that turns a
-JSON object into config keyword arguments or a ConfigError."""
+"""Exception types shared across the package, and the checks that turn a
+JSON file or object into a config or a ConfigError."""
 import dataclasses
+import json
 import math
 
 
@@ -41,25 +42,38 @@ class DataError(GmsrfError):
 
 
 def config_fields(cls, d):
-    """Keyword arguments for config dataclass ``cls`` from a JSON object.
-
-    Every key must name a field, and every value must have the type of the
-    field's default (an int passes for a finite float, a list for a tuple of
-    the same length); fields defaulting to None or a factory are left to
-    ``cls`` to validate. Anything else raises ConfigError.
-    """
+    """Keyword arguments for config dataclass ``cls`` from a JSON object whose
+    keys all name fields, or ConfigError. ``cls.validate`` checks the values."""
     if not isinstance(d, dict):
         raise ConfigError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, value in d.items():
-        if key not in defaults:
+    names = {f.name for f in dataclasses.fields(cls)}
+    for key in d:
+        if key not in names:
             raise ConfigError(f"{cls.__name__} has no field {key!r}")
+    return d
+
+
+def check_fields(config):
+    """Give every field of a config dataclass instance the type of its default
+    (an int passes for a finite float, a list for a same-length tuple), or
+    raise ConfigError. Fields defaulting to None or a factory are left to the
+    config's own ``validate``."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
         try:
-            kwargs[key] = _like(value, defaults[key])
+            setattr(config, f.name, _like(value, f.default))
         except (TypeError, OverflowError):
-            raise ConfigError(f"{cls.__name__}.{key}: bad value {value!r}") from None
-    return kwargs
+            raise ConfigError(f"{type(config).__name__}.{f.name}: bad value {value!r}") from None
+
+
+def read_json(path):
+    """The JSON document in the file at ``path``; a malformed one raises
+    ConfigError."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except (ValueError, RecursionError) as e:
+            raise ConfigError(f"{path}: not a JSON document: {e}") from e
 
 
 def _like(value, default):

@@ -58,8 +58,8 @@ def jitter_parameters(layer, rng, scale=0.05):
     """Randomize parameters in place; zero-initialized biases and norm shifts
     would otherwise park activations exactly on the leaky-relu kink, where
     finite differences are meaningless."""
-    for _, p in layer.named_parameters():
-        p.data += rng.normal(0.0, scale, p.shape)
+    params = layer.arena.params
+    params += rng.normal(0.0, scale, params.size)
 
 
 def _check(name, f, inputs, tol=OP_TOL, max_coords=None, rng=None):
@@ -140,45 +140,24 @@ def op_checks(rng):
 
 def block_checks(rng):
     results = []
-    f64 = np.float64
+    blocks = [
+        ("conv_block", lambda: ConvBlock(rng, 3, 4, 3, padding=1), (2, 3, 6, 6), 60),
+        ("squeeze_excite", lambda: SqueezeExcite(rng, 6, reduction=3), (2, 6, 4, 4), 60),
+        ("resampler_up2", lambda: Resampler(rng, 3, 3, 1), (1, 3, 2, 2), 60),
+        ("resampler_down2", lambda: Resampler(rng, 3, 1, 3), (1, 3, 8, 8), 60),
+        ("rfb_reduce", lambda: RfbBlock(rng, 6, 4), (1, 6, 12, 12), 40),
+        ("residual_stage", lambda: ResidualStage(rng, 3, 5, downsample=True), (1, 3, 8, 8), 40),
+    ]
+    # each block is built, jittered, probed and checked before the next one
+    # is built, which fixes the draws every check sees
+    for name, make, shape, coords in blocks:
+        block = make().astype(np.float64)
+        jitter_parameters(block, rng)
+        x = _rand(rng, shape)
+        results.append(_check(name, lambda: _sq_mean(block(x)), [x] + block.parameters(),
+                              max_coords=coords, rng=rng))
 
-    cb = ConvBlock(rng, 3, 4, 3, padding=1).astype(f64)
-    jitter_parameters(cb, rng)
-    x = _rand(rng, (2, 3, 6, 6))
-    results.append(_check("conv_block", lambda: _sq_mean(cb(x)), [x] + cb.parameters(),
-                          max_coords=60, rng=rng))
-
-    se = SqueezeExcite(rng, 6, reduction=3).astype(f64)
-    jitter_parameters(se, rng)
-    xs = _rand(rng, (2, 6, 4, 4))
-    results.append(_check("squeeze_excite", lambda: _sq_mean(se(xs)), [xs] + se.parameters(),
-                          max_coords=60, rng=rng))
-
-    up = Resampler(rng, 3, 3, 1).astype(f64)
-    jitter_parameters(up, rng)
-    xu = _rand(rng, (1, 3, 2, 2))
-    results.append(_check("resampler_up2", lambda: _sq_mean(up(xu)), [xu] + up.parameters(),
-                          max_coords=60, rng=rng))
-
-    down = Resampler(rng, 3, 1, 3).astype(f64)
-    jitter_parameters(down, rng)
-    xd = _rand(rng, (1, 3, 8, 8))
-    results.append(_check("resampler_down2", lambda: _sq_mean(down(xd)), [xd] + down.parameters(),
-                          max_coords=60, rng=rng))
-
-    rfb = RfbBlock(rng, 6, 4).astype(f64)
-    jitter_parameters(rfb, rng)
-    xr = _rand(rng, (1, 6, 12, 12))
-    results.append(_check("rfb_reduce", lambda: _sq_mean(rfb(xr)), [xr] + rfb.parameters(),
-                          max_coords=40, rng=rng))
-
-    stage = ResidualStage(rng, 3, 5, downsample=True).astype(f64)
-    jitter_parameters(stage, rng)
-    xst = _rand(rng, (1, 3, 8, 8))
-    results.append(_check("residual_stage", lambda: _sq_mean(stage(xst)), [xst] + stage.parameters(),
-                          max_coords=40, rng=rng))
-
-    module = GmsrfModule(rng, channels=4, growth=2, num_layers=2).astype(f64)
+    module = GmsrfModule(rng, channels=4, growth=2, num_layers=2).astype(np.float64)
     jitter_parameters(module, rng)
     bundle = [_rand(rng, (1, 4, 8, 8)), _rand(rng, (1, 4, 4, 4)),
               _rand(rng, (1, 4, 2, 2)), _rand(rng, (1, 4, 1, 1))]

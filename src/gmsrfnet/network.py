@@ -8,15 +8,16 @@ import json
 import math
 import os
 import tempfile
+import types
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import ConvBlock, Layer, ResidualStage, RfbBlock
-from .errors import ConfigError, CorruptionError, FormatError, ShapeError, config_fields
+from .errors import ConfigError, CorruptionError, FormatError, ShapeError, check_fields, config_fields
 from .gmsrf import GmsrfModule
-from .tensor import Tensor, concat_channels, resize_bilinear, sigmoid
+from .tensor import concat_channels, resize_bilinear, sigmoid
 
 CHECKPOINT_MAGIC = b"GMSRF1"
 
@@ -36,10 +37,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.encoder_widths = tuple(int(w) for w in self.encoder_widths)
         self.validate()
 
     def validate(self):
+        check_fields(self)
         if self.input_size % 32 != 0 or self.input_size < 32:
             raise ConfigError(f"input_size must be a positive multiple of 32, got {self.input_size}")
         if len(self.encoder_widths) != 4 or any(w < 1 for w in self.encoder_widths):
@@ -55,9 +56,7 @@ class ModelConfig:
         return self.input_size // (2 ** (scale + 1))
 
     def to_dict(self):
-        d = dataclasses.asdict(self)
-        d["encoder_widths"] = list(self.encoder_widths)
-        return d
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(d):
@@ -173,31 +172,18 @@ def build_model(config):
 # -- checkpoint persistence -----------------------------------------------------
 #
 # layout: magic "GMSRF1" | uint32 LE header length | header JSON
-#         | payload (raw little-endian float32 in index order)
+#         | payload (raw little-endian float32 in index order: the arena's
+#           params block, then its buffers block)
 #         | uint32 LE CRC-32 of the payload
 # header: {"config": {...}, "tensors": {name: {"shape": [...], "offset": n}}}
 #         where each offset is the byte sum of the tensors before it
 
 
-def _named_state(model):
-    state = dict(model.named_parameters())
-    for name, buf in model.named_buffers():
-        state[name] = buf
-    return state
-
-
 def save_checkpoint(model, path):
-    state = _named_state(model)
-    index = {}
-    chunks = []
-    offset = 0
-    for name, value in state.items():
-        arr = value.data if isinstance(value, Tensor) else value
-        raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        index[name] = {"shape": list(arr.shape), "offset": offset}
-        chunks.append(raw)
-        offset += len(raw)
-    payload = b"".join(chunks)
+    arena = model.arena
+    index = {name: {"shape": list(shape), "offset": 4 * offset}
+             for name, shape, offset in zip(arena.names, arena.shapes, arena.offsets)}
+    payload = b"".join(np.ascontiguousarray(a, "<f4").tobytes() for a in (arena.params, arena.buffers))
     header = json.dumps({"config": model.config.to_dict(), "tensors": index}).encode()
 
     blob = b"".join([
@@ -237,10 +223,15 @@ def _payload_length(index):
     return offset
 
 
+# init RNG of a model whose every value the checkpoint overwrites: no draws
+_NO_DRAWS = types.SimpleNamespace(normal=lambda loc, scale, size: np.zeros(size, np.float32))
+
+
 def load_checkpoint(path):
     """Rebuild a model from a checkpoint file; verifies magic, CRC, and the
-    agreement between the stored config and every stored tensor shape and
-    offset."""
+    agreement between the stored config and every stored tensor name (in
+    order), shape and offset. The payload's parameter block and buffer block
+    are each copied into the model's arena in one step."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -266,24 +257,19 @@ def load_checkpoint(path):
         raise CorruptionError("checkpoint truncated in payload")
     if len(blob) > end:
         raise CorruptionError(f"{len(blob) - end} trailing bytes after the checkpoint CRC")
-    payload = blob[pos : pos + payload_len]
+    payload = memoryview(blob)[pos : pos + payload_len]
     stored_crc = int.from_bytes(blob[end - 4 : end], "little")
     if (zlib.crc32(payload) & 0xFFFFFFFF) != stored_crc:
         raise CorruptionError("checkpoint payload CRC mismatch")
 
-    model = build_model(config)
-    state = _named_state(model)
-    if set(state) != set(index):
-        missing = set(state) ^ set(index)
-        raise FormatError(f"checkpoint tensor index does not match config; differs on {sorted(missing)[:5]}")
-    for name, entry in index.items():
-        target = state[name]
-        arr = target.data if isinstance(target, Tensor) else target
-        shape = tuple(entry["shape"])
-        if shape != arr.shape:
-            raise FormatError(f"tensor {name} has shape {shape}, config implies {arr.shape}")
-        start = entry["offset"]
-        count = int(np.prod(shape))
-        values = np.frombuffer(payload, dtype="<f4", count=count, offset=start)
-        arr[...] = values.reshape(shape)
+    model = SegmentationModel(config, rng=_NO_DRAWS)
+    arena = model.arena
+    if list(index) != arena.names:
+        raise FormatError("checkpoint tensor index does not list the config's tensors in order")
+    for name, entry, shape in zip(arena.names, index.values(), arena.shapes):
+        if tuple(entry["shape"]) != shape:
+            raise FormatError(f"tensor {name} has shape {tuple(entry['shape'])}, config implies {shape}")
+    count = arena.params.size
+    arena.params[...] = np.frombuffer(payload, "<f4", count=count)
+    arena.buffers[...] = np.frombuffer(payload, "<f4", offset=4 * count)
     return model

@@ -675,7 +675,8 @@ def max_grad_error(f, inputs, h_scale=1e-6, max_coords=None, rng=None):
     for t in inputs:
         if t.data.dtype != np.float64:
             raise UsageError("gradient checking requires float64 tensors")
-        t.grad = None
+        if t.grad is not None:
+            t.grad[...] = 0  # in place: a parameter's grad is a view of its arena
     out = f()
     if out.shape != (1, 1, 1, 1):
         raise UsageError(f"gradcheck function must return a scalar, got {out.shape}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import AugmentPolicy, augment, read_pnm, resize_image, resize_mask, write_pnm
-from .errors import ConfigError, FormatError, NumericsError, config_fields
+from .errors import ConfigError, FormatError, NumericsError, check_fields, config_fields, read_json
 from .losses import build_report, total_loss
 from .network import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from .optim import Adam
@@ -42,6 +42,7 @@ class TrainConfig:
         self.validate()
 
     def validate(self):
+        check_fields(self)
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.batch_size < 1:
@@ -58,9 +59,7 @@ class TrainConfig:
             raise ConfigError(f"model must be a ModelConfig object, got {self.model!r}")
 
     def to_dict(self):
-        d = dataclasses.asdict(self)
-        d["model"] = self.model.to_dict()
-        return d
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(d):
@@ -68,12 +67,7 @@ class TrainConfig:
 
     @staticmethod
     def from_json(path):
-        with open(path) as f:
-            try:
-                d = json.load(f)
-            except (ValueError, RecursionError) as e:
-                raise ConfigError(f"{path}: not a JSON document: {e}") from e
-        return TrainConfig.from_dict(d)
+        return TrainConfig.from_dict(read_json(path))
 
 
 @dataclass
@@ -129,7 +123,7 @@ def train(cfg, train_set, val_set=None, out_path=None, log_path=None):
             )
 
     model = build_model(cfg.model)
-    adam = Adam(model.named_parameters(), cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    adam = Adam(model.arena, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
     policy = AugmentPolicy() if cfg.augment else None
     best_path = out_path + ".best" if out_path else None
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from gmsrfnet import tensor as T
+from gmsrfnet.blocks import Layer
 from gmsrfnet.data import (
     default_center_a,
     default_center_b,
@@ -147,7 +148,7 @@ class TestAcceptance:
         images = Tensor(np.stack([s.image for s in samples]))
         masks = np.stack([s.mask for s in samples])
         model = build_model(ModelConfig())
-        adam = Adam(model.named_parameters(), lr=1e-4)
+        adam = Adam(model.arena, lr=1e-4)
         losses = []
         for _ in range(500):
             maps = model(images)
@@ -171,8 +172,10 @@ class TestAcceptance:
 
         # capacity floor of the coarsest supervision head alone: the best any
         # model can do through a 2x2 logit map upscaled to 64x64
-        floor_logits = Tensor(np.zeros((4, 1, 2, 2), np.float32), requires_grad=True)
-        floor_adam = Adam([("z", floor_logits)], lr=0.3)
+        floor_head = Layer()
+        floor_head.logits = floor_logits = Tensor(np.zeros((4, 1, 2, 2), np.float32),
+                                                  requires_grad=True)
+        floor_adam = Adam(floor_head.arena, lr=0.3)
         floor = np.inf
         for _ in range(800):
             p = T.sigmoid(T.resize_bilinear(floor_logits, 64, 64))

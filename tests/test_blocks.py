@@ -5,7 +5,7 @@ import pytest
 
 from gmsrfnet import tensor as T
 from gmsrfnet.blocks import ConvBlock, Resampler, ResidualStage, RfbBlock, SqueezeExcite
-from gmsrfnet.errors import ShapeError
+from gmsrfnet.errors import ShapeError, UsageError
 from gmsrfnet.tensor import Tensor, max_grad_error
 
 
@@ -174,3 +174,10 @@ class TestRegistry:
         stage = ResidualStage(rng, 2, 2, downsample=True)
         stage.set_training(False)
         assert not stage.conv1.bn.training
+
+    def test_nested_layer_queries_go_through_the_root(self, rng):
+        stage = ResidualStage(rng, 2, 3, downsample=True)
+        params = stage.arena.params
+        with pytest.raises(UsageError):
+            stage.conv1.named_parameters()
+        assert stage.conv1.weight.data.base is params

@@ -62,6 +62,16 @@ class TestGenerateData:
         splits = {s["split"] for s in manifest["samples"]}
         assert splits == {"train", "val", "test"}
 
+    def test_truncated_spec_is_a_config_error(self, runner, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"seed": 1,')
+        result = runner.invoke(main, [
+            "generate-data", "--spec", str(spec_path), "--n", "2", "--out", str(tmp_path / "d"),
+        ])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, ConfigError), result.exception
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrainEvalPredict:
     def test_full_pipeline(self, workspace, runner, tmp_path):

@@ -94,6 +94,14 @@ class TestConfigs:
         with pytest.raises(ConfigError):
             cls.from_dict(d)
 
+    @pytest.mark.parametrize("make", [
+        lambda: TrainConfig(lr="x"), lambda: ModelConfig(input_size="64"),
+        lambda: CenterSpec(seed="1"),
+    ], ids=["train-lr", "model-input-size", "spec-seed"])
+    def test_mistyped_constructor_argument(self, make):
+        with pytest.raises(ConfigError):
+            make()
+
     def test_deeply_nested_file(self, tmp_path):
         path = tmp_path / "train.json"
         path.write_text("[" * 100000)

@@ -1,5 +1,7 @@
 """Full model wiring, parameter registry, and checkpoint persistence."""
+import hashlib
 import json
+import math
 import zlib
 
 import numpy as np
@@ -20,6 +22,8 @@ from gmsrfnet.network import (
 )
 from gmsrfnet.optim import Adam
 from gmsrfnet.tensor import Tensor, backward
+
+from test_acceptance import PROTOCOL_MODEL
 
 MICRO = ModelConfig(input_size=32, encoder_widths=(4, 8, 8, 8), rfb_channels=4,
                     growth=2, layers_per_module=2, num_modules=1, seed=3)
@@ -210,7 +214,7 @@ class TestAstype:
 
     def test_float64_model_runs_backward_and_adam(self):
         model = SegmentationModel(MICRO).astype(np.float64)
-        adam = Adam(model.named_parameters(), lr=1e-3)
+        adam = Adam(model.arena, lr=1e-3)
         rng = np.random.default_rng(2)
         image = Tensor(rng.uniform(0, 1, (2, 3, 32, 32)), dtype=np.float64)
         target = (rng.uniform(0, 1, (2, 1, 32, 32)) > 0.7).astype(np.float64)
@@ -222,6 +226,21 @@ class TestAstype:
         adam.step()
         assert any(not np.array_equal(a, p.data) for a, p in zip(start, model.parameters()))
         assert all(a.dtype == np.float64 for _, a in named_arrays(model))
+
+    def test_optimizer_made_before_the_cast_updates_the_cast_model(self):
+        model = SegmentationModel(MICRO)
+        adam = Adam(model.arena, lr=1e-3)
+        model.astype(np.float64)
+        rng = np.random.default_rng(2)
+        image = Tensor(rng.uniform(0, 1, (2, 3, 32, 32)), dtype=np.float64)
+        target = (rng.uniform(0, 1, (2, 1, 32, 32)) > 0.7).astype(np.float64)
+        adam.zero_grad()
+        backward(total_loss(model(image), target))
+        start = model.arena.params.copy()
+        adam.step()
+        assert model.arena.params.dtype == adam.m.dtype == np.float64
+        assert not np.array_equal(start, model.arena.params)
+        assert all(p.data.base is model.arena.params for p in model.parameters())
 
 
 def edit_header(edit):
@@ -242,6 +261,18 @@ def entry(header, i):
     return list(header["tensors"].values())[i]
 
 
+def swap_first_two(header):
+    """Index listing the first two tensors in swapped order, offsets
+    recomputed as the running sum of that order."""
+    items = list(header["tensors"].items())
+    items[0], items[1] = items[1], items[0]
+    offset = 0
+    for _, e in items:
+        e["offset"] = offset
+        offset += 4 * math.prod(e["shape"])
+    header["tensors"] = dict(items)
+
+
 MALFORMED_CHECKPOINTS = [
     pytest.param(edit_header(lambda h: entry(h, -1).update(offset=10**9)), FormatError,
                  id="offset-out-of-range"),
@@ -258,6 +289,7 @@ MALFORMED_CHECKPOINTS = [
                  id="config-invalid"),
     pytest.param(edit_header(lambda h: h["config"].update(growth="2")), FormatError,
                  id="config-mistyped"),
+    pytest.param(edit_header(swap_first_two), FormatError, id="index-out-of-order"),
 ]
 
 
@@ -270,6 +302,20 @@ class TestCheckpoint:
         loaded = load_checkpoint(p1)
         save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_paper_default_save_load_save_byte_identical(self, tmp_path):
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(build_model(ModelConfig()), p1)
+        save_checkpoint(load_checkpoint(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_format_pinned_by_digest(self, tmp_path):
+        # a change to the GMSRF1 layout, the registry order or the init
+        # draws moves this digest
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(ModelConfig(seed=8, **PROTOCOL_MODEL)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "77b69fe33859085588ac9c89dce130ebf8a899e3d165a506d6a2a170114d4489")
 
     def test_roundtrip_restores_parameters_bitwise(self, tmp_path):
         model = build_model(MICRO)

@@ -1,5 +1,6 @@
 """Training loop, evaluation, prediction, and the generalization report."""
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ class TestTrainLoop:
                 raise NumericsError("non-finite gradient for parameter 'boom'")
             real_step(self)
             calls["n"] += 1
-            snapshots["last"] = {n: p.data.copy() for n, p in self.params}
+            snapshots["last"] = {n: p.data.copy() for n, p in zip(self.arena.names, self.arena.tensors)}
 
         monkeypatch.setattr(Adam, "step", exploding_step)
         with pytest.raises(NumericsError):
@@ -233,6 +234,25 @@ class TestPredict:
         predict(out, img_path, p1)
         predict(out, img_path, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_repeated_predict_does_not_grow_memory(self, tiny_data, tmp_path):
+        # every call loads its own model; none may outlive its call
+        train_set, _, _ = tiny_data
+        out = str(tmp_path / "m.ckpt")
+        train(tiny_config(epochs=1), train_set, None, out)
+        img_path, mask_path = str(tmp_path / "in.ppm"), str(tmp_path / "out.pgm")
+        write_pnm(generate_center(default_center_a(seed=6), 1, 32)[0].image, img_path)
+        predict(out, img_path, mask_path)
+        tracemalloc.start()
+        try:
+            predict(out, img_path, mask_path)
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(20):
+                predict(out, img_path, mask_path)
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert grown < 1 << 20, grown
 
 
 def tagged(ds):
