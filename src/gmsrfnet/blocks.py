@@ -159,6 +159,9 @@ class Layer:
 
 
 class BatchNorm2d(Layer):
+    """Holder of a normalization's gamma/beta and running statistics; the
+    owning ConvBlock runs ``tensor.batch_norm`` with it as ``state``."""
+
     _buffers = ("running_mean", "running_var", "num_updates")
 
     def __init__(self, channels, eps=1e-5, momentum=0.1):
@@ -171,18 +174,14 @@ class BatchNorm2d(Layer):
         self.eps = eps
         self.momentum = momentum
 
-    def forward(self, x):
-        return batch_norm(
-            x, self.gamma, self.beta, self, self.training,
-            eps=self.eps, momentum=self.momentum,
-        )
-
 
 class ConvBlock(Layer):
     """conv -> batch norm -> activation; the unit block of the network.
 
-    Attention/supervision heads drop the normalization and switch the
-    activation, which callers select via ``norm`` and ``act``.
+    A normalized block has no conv bias, because the batch mean cancels it,
+    and runs batch norm and its activation as one op. Attention/supervision
+    heads drop the normalization, keep the bias and switch the activation,
+    which callers select via ``norm`` and ``act``.
     """
 
     def __init__(self, rng, cin, cout, kernel, stride=1, padding=0, dilation=1,
@@ -190,7 +189,7 @@ class ConvBlock(Layer):
         super().__init__()
         shape = (cin, cout, kernel, kernel) if transpose else (cout, cin, kernel, kernel)
         self.weight = he_weight(rng, shape, cin * kernel * kernel, act)
-        self.bias = vector(np.zeros(cout), requires_grad=True)
+        self.bias = None if norm else vector(np.zeros(cout), requires_grad=True)
         self.bn = BatchNorm2d(cout) if norm else None
         self.stride = stride
         self.padding = padding
@@ -203,9 +202,11 @@ class ConvBlock(Layer):
             y = conv_transpose2d(x, self.weight, self.bias, self.stride, self.padding)
         else:
             y = conv2d(x, self.weight, self.bias, self.stride, self.padding, self.dilation)
-        if self.bn is not None:
-            y = self.bn(y)
-        return activation(y, self.act, LEAKY_ALPHA)
+        bn = self.bn
+        if bn is None:
+            return activation(y, self.act, LEAKY_ALPHA)
+        return batch_norm(y, bn.gamma, bn.beta, bn, bn.training, bn.eps, bn.momentum,
+                          self.act, LEAKY_ALPHA)
 
 
 class SqueezeExcite(Layer):

@@ -2,6 +2,7 @@
 the cross-center generalization report, and the gradient-check suite."""
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 
@@ -13,14 +14,15 @@ from .gradchecks import run_suite
 from .train import TrainConfig, evaluate, generalization_report, predict, train
 
 
-def _threads_override(threads):
-    env = os.environ.get("GMSRF_THREADS")
+def _apply_threads(cfg, threads, env):
+    """``cfg`` with the ``--threads`` value, or the GMSRF_THREADS value
+    ``env``, which takes precedence, validated like the config file's."""
     if env:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise ConfigError(f"GMSRF_THREADS must be an integer, got {env!r}") from None
-    return threads
+    return cfg if threads is None else dataclasses.replace(cfg, threads=threads)
 
 
 @click.group()
@@ -62,9 +64,7 @@ def generate_data_cmd(spec_path, n, out_dir, size, split_ratios, split_seed):
 def train_cmd(config_path, data_dir, out_path, log_path, threads):
     """Train on the train split of a dataset directory."""
     cfg = TrainConfig.from_json(config_path)
-    if threads is not None:
-        cfg.threads = threads
-    cfg.threads = _threads_override(cfg.threads)
+    cfg = _apply_threads(cfg, threads, os.environ.get("GMSRF_THREADS"))
     dataset = load_folder(data_dir, cfg.model.input_size)
     train_set = dataset.subset("train")
     if not len(train_set):

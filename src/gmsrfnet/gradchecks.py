@@ -114,6 +114,14 @@ def op_checks(rng):
         "batch_norm_eval",
         lambda: _sq_mean(T.batch_norm(bx, gamma, beta, state, False)),
         [bx, gamma, beta]))
+    results.append(_check(
+        "batch_norm_leaky_train",
+        lambda: _sq_mean(T.batch_norm(bx, gamma, beta, state, True, act="leaky_relu")),
+        [bx, gamma, beta]))
+    results.append(_check(
+        "batch_norm_leaky_eval",
+        lambda: _sq_mean(T.batch_norm(bx, gamma, beta, state, False, act="leaky_relu")),
+        [bx, gamma, beta]))
 
     g = _rand(rng, (2, 3, 4, 6))
     results.append(_check("global_avg_pool", lambda: _sq_mean(T.global_avg_pool(g)), [g]))

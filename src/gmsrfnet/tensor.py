@@ -480,16 +480,28 @@ def activation(x, kind, alpha=0.01):
 # -- normalization ------------------------------------------------------------
 
 
-def batch_norm(x, gamma, beta, state, training, eps=1e-5, momentum=0.1):
-    """Per-channel batch normalization with running statistics.
+def batch_norm(x, gamma, beta, state, training, eps=1e-5, momentum=0.1,
+               act="linear", alpha=0.01):
+    """Per-channel batch normalization with running statistics, followed by
+    the activation ``act`` ("linear" or "leaky_relu" with slope ``alpha``),
+    recorded as one op.
 
     ``state`` is any object holding the (1, C, 1, 1) arrays
     ``running_mean`` and ``running_var`` and the (1, 1, 1, 1) update count
     ``num_updates``, such as a ``blocks.BatchNorm2d``; train mode updates
-    them in place. Train mode normalizes by batch mean/variance over
-    (N, H, W) and blends the running statistics; eval mode normalizes by the
-    running statistics and requires at least one prior training update.
+    them in place. Train mode normalizes by the batch mean and the centred
+    two-pass variance over the M = N*H*W values of each channel, and blends
+    the running statistics; at M = 1 the output is act(beta) and the input
+    gradient zero. Eval mode normalizes by the running statistics and
+    requires at least one prior training update.
+
+    The closed-form backward reads the leaky mask from the output's sign,
+    which alpha in [0, 1] keeps equal to the pre-activation's.
     """
+    if act not in ("linear", "leaky_relu"):
+        raise UsageError(f"batch_norm: unsupported activation {act!r}")
+    if not 0 <= alpha <= 1:
+        raise UsageError(f"batch_norm: leaky slope must be in [0, 1], got {alpha}")
     n, c, h, w = x.shape
     if gamma.shape != (1, c, 1, 1) or beta.shape != (1, c, 1, 1):
         raise ShapeError(
@@ -500,10 +512,11 @@ def batch_norm(x, gamma, beta, state, training, eps=1e-5, momentum=0.1):
             f"batch_norm: state holds {state.running_mean.shape[1]} channels, input has {c}"
         )
     dt = x.data.dtype.type
+    count = n * h * w
     if training:
         mean = x.data.mean(axis=(0, 2, 3), keepdims=True)
-        var = x.data.var(axis=(0, 2, 3), keepdims=True)
-        count = n * h * w
+        xhat = x.data - mean
+        var = np.mean(xhat * xhat, axis=(0, 2, 3), keepdims=True)
         unbiased = var * (count / (count - 1)) if count > 1 else var
         m = dt(momentum)
         state.running_mean *= 1 - m
@@ -514,24 +527,26 @@ def batch_norm(x, gamma, beta, state, training, eps=1e-5, momentum=0.1):
     else:
         if not state.num_updates.item() > 0:
             raise StateError("batch_norm: eval mode before any training update")
-        mean = state.running_mean
+        xhat = x.data - state.running_mean
         var = state.running_var
     inv_std = 1.0 / np.sqrt(var + dt(eps))
-    xhat = (x.data - mean) * inv_std
-    y = gamma.data * xhat + beta.data
+    xhat *= inv_std
+    y = xhat * gamma.data
+    y += beta.data
+    leaky = act == "leaky_relu"
+    if leaky:
+        slope = dt(alpha)
+        y = np.maximum(y, y * slope)
 
     def backward_fn(g):
-        g_gamma = (g * xhat).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-        g_beta = g.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-        t = g * gamma.data
+        g_z = np.where(y > 0, g, g * slope) if leaky else g
+        g_beta = g_z.sum(axis=(0, 2, 3), keepdims=True)
+        g_gamma = (g_z * xhat).sum(axis=(0, 2, 3), keepdims=True)
+        k = gamma.data * inv_std
+        g_x = g_z * k
         if training:
-            g_x = inv_std * (
-                t
-                - t.mean(axis=(0, 2, 3), keepdims=True)
-                - xhat * (t * xhat).mean(axis=(0, 2, 3), keepdims=True)
-            )
-        else:
-            g_x = t * inv_std
+            g_x -= xhat * (k * g_gamma / count)
+            g_x -= k * g_beta / count
         return g_x, g_gamma, g_beta
 
     return _record(y, [x, gamma, beta], backward_fn)

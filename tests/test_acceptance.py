@@ -89,11 +89,9 @@ class TestAcceptance:
         for blocks in (module.initial, module.transition):
             for b in blocks:
                 b.weight.data[:] = 0
-                b.bias.data[:] = 0
         for per_scale in module.fusion:
             for b in per_scale:
                 b.weight.data[:] = 0
-                b.bias.data[:] = 0
         for per_scale in module.attention:
             for att in per_scale:
                 for p in att.parameters():

@@ -24,13 +24,23 @@ class TestConvBlock:
         # 1x1 identity kernel, frozen identity-like BN, linear activation
         block = ConvBlock(rng, 3, 3, 1, act="linear")
         block.weight.data[:] = np.eye(3, dtype=np.float32).reshape(3, 3, 1, 1)
-        block.bias.data[:] = 0
         block.bn.running_mean[:] = 0
         block.bn.running_var[:] = 1
         block.bn.num_updates[:] = 1
         block.set_training(False)
         x = Tensor(rng.normal(size=(2, 3, 5, 5)).astype(np.float32))
         np.testing.assert_allclose(block(x).data, x.data, atol=1e-4)
+
+    def test_bias_only_without_norm(self, rng):
+        names = [n for n, _ in ConvBlock(rng, 2, 3, 3).named_parameters()]
+        assert names == ["weight", "bn.gamma", "bn.beta"]
+        names = [n for n, _ in ConvBlock(rng, 2, 3, 1, act="sigmoid", norm=False).named_parameters()]
+        assert names == ["weight", "bias"]
+
+    def test_normalized_block_rejects_other_activations(self, rng):
+        block = ConvBlock(rng, 2, 3, 3, act="sigmoid")
+        with pytest.raises(UsageError):
+            block(Tensor(rng.normal(size=(1, 2, 5, 5)).astype(np.float32)))
 
     def test_stride_two_halves(self, rng):
         block = ConvBlock(rng, 4, 4, 3, stride=2, padding=1)
@@ -138,9 +148,7 @@ class TestResidualStage:
     def test_zero_weights_pure_shortcut(self, rng):
         stage = ResidualStage(rng, 4, 4, downsample=False)
         stage.conv1.weight.data[:] = 0
-        stage.conv1.bias.data[:] = 0
         stage.conv2.weight.data[:] = 0
-        stage.conv2.bias.data[:] = 0
         x = Tensor(rng.normal(size=(2, 4, 6, 6)).astype(np.float32))
         np.testing.assert_array_equal(stage(x).data, x.data)
 
@@ -162,8 +170,8 @@ class TestRegistry:
         stage = ResidualStage(rng, 3, 5, downsample=True)
         names = [n for n, _ in stage.named_parameters()]
         assert len(names) == len(set(names))
-        # conv1 w/b + bn, conv2 w/b + bn, shortcut w/b + bn
-        assert len(names) == 3 * 4
+        # conv1 w + bn, conv2 w + bn, shortcut w + bn: normalized, so no conv bias
+        assert len(names) == 3 * 3
 
     def test_buffers_enumerated(self, rng):
         block = ConvBlock(rng, 2, 2, 3, padding=1)

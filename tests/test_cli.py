@@ -139,6 +139,31 @@ class TestTrainEvalPredict:
         assert "GMSRF_THREADS" in str(result.exception)
         assert not (base / "never.ckpt").exists()
 
+    @pytest.mark.parametrize("threads", ["-3", "0"])
+    def test_threads_option_below_one_is_a_config_error(self, workspace, runner, threads):
+        base, data_dir, cfg_path = workspace
+        result = runner.invoke(main, [
+            "train", "--config", str(cfg_path), "--data", str(data_dir),
+            "--out", str(base / "never.ckpt"), "--threads", threads,
+        ])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, ConfigError), result.exception
+        assert "threads" in str(result.exception)
+        assert not (base / "never.ckpt").exists()
+
+    @pytest.mark.parametrize("threads", ["-3", "0"])
+    def test_threads_env_below_one_is_a_config_error(self, workspace, runner, monkeypatch,
+                                                     threads):
+        base, data_dir, cfg_path = workspace
+        monkeypatch.setenv("GMSRF_THREADS", threads)
+        result = runner.invoke(main, [
+            "train", "--config", str(cfg_path), "--data", str(data_dir),
+            "--out", str(base / "never.ckpt"), "--threads", "2",
+        ])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, ConfigError), result.exception
+        assert not (base / "never.ckpt").exists()
+
 
 class TestGradcheckCommand:
     def test_op_scope_exit_zero(self, runner):

@@ -29,11 +29,9 @@ def zero_module_branches(module):
     for blocks in (module.initial, module.transition):
         for b in blocks:
             b.weight.data[:] = 0
-            b.bias.data[:] = 0
     for per_scale in module.fusion:
         for b in per_scale:
             b.weight.data[:] = 0
-            b.bias.data[:] = 0
     for per_scale in module.attention:
         for att in per_scale:
             for p in att.parameters():
@@ -161,7 +159,6 @@ class TestModuleForward:
         module = GmsrfModule(rng, channels=4, growth=2, num_layers=2)
         for b in module.transition:
             b.weight.data[:] = 0
-            b.bias.data[:] = 0
             b.bn.gamma.data[:] = 0
         bundle = make_bundle(rng, 4, base=8)
         out = module(bundle)

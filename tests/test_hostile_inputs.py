@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmsrfnet.cli import _apply_threads
 from gmsrfnet.data import (
     CenterSpec,
     Dataset,
@@ -101,6 +102,19 @@ class TestConfigs:
     def test_mistyped_constructor_argument(self, make):
         with pytest.raises(ConfigError):
             make()
+
+    @SETTINGS
+    @given(st.none() | st.text(max_size=8) | st.integers(-3, 10**6).map(str),
+           st.none() | st.integers(-3, 64))
+    def test_threads_env(self, env, option):
+        # parses and validates only: nothing here trains or starts a thread
+        cfg = TrainConfig()
+        try:
+            out = _apply_threads(cfg, option, env)
+        except ConfigError:
+            return
+        assert isinstance(out, TrainConfig) and out.threads >= 1
+        assert out.threads == (int(env) if env else cfg.threads if option is None else option)
 
     def test_deeply_nested_file(self, tmp_path):
         path = tmp_path / "train.json"

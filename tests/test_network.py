@@ -35,7 +35,7 @@ def expected_param_count(cfg):
     """Symbolic parameter count, written independently of the registry."""
 
     def conv(cin, cout, k, bn=True):
-        return cin * cout * k * k + cout + (2 * cout if bn else 0)
+        return cin * cout * k * k + (2 * cout if bn else cout)
 
     def se(channels, reduction):
         hidden = max(1, channels // reduction)
@@ -273,6 +273,29 @@ def swap_first_two(header):
     header["tensors"] = dict(items)
 
 
+def add_stale_conv_bias(blob):
+    """A file as a model with a bias in front of the stem's batch norm would
+    write it: an ``encoder.stem.bias`` entry after the stem weight, its
+    bytes in the payload, offsets and CRC recomputed."""
+    header_len = int.from_bytes(blob[6:10], "little")
+    header = json.loads(blob[10 : 10 + header_len].decode())
+    payload = blob[10 + header_len : -4]
+    items = list(header["tensors"].items())
+    at = [name for name, _ in items].index("encoder.stem.weight") + 1
+    cout = items[at - 1][1]["shape"][0]
+    cut = items[at][1]["offset"]
+    items.insert(at, ("encoder.stem.bias", {"shape": [1, cout, 1, 1]}))
+    offset = 0
+    for _, e in items:
+        e["offset"] = offset
+        offset += 4 * math.prod(e["shape"])
+    header["tensors"] = dict(items)
+    payload = payload[:cut] + bytes(4 * cout) + payload[cut:]
+    new_header = json.dumps(header).encode()
+    return (CHECKPOINT_MAGIC + len(new_header).to_bytes(4, "little") + new_header + payload
+            + (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "little"))
+
+
 MALFORMED_CHECKPOINTS = [
     pytest.param(edit_header(lambda h: entry(h, -1).update(offset=10**9)), FormatError,
                  id="offset-out-of-range"),
@@ -290,6 +313,7 @@ MALFORMED_CHECKPOINTS = [
     pytest.param(edit_header(lambda h: h["config"].update(growth="2")), FormatError,
                  id="config-mistyped"),
     pytest.param(edit_header(swap_first_two), FormatError, id="index-out-of-order"),
+    pytest.param(add_stale_conv_bias, FormatError, id="stale-conv-bias"),
 ]
 
 
@@ -315,7 +339,7 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(build_model(ModelConfig(seed=8, **PROTOCOL_MODEL)), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "77b69fe33859085588ac9c89dce130ebf8a899e3d165a506d6a2a170114d4489")
+            "b9dce83199a4d4133a842326fc3ee0f5f8d26f47ded7a3138819543239a24502")
 
     def test_roundtrip_restores_parameters_bitwise(self, tmp_path):
         model = build_model(MICRO)

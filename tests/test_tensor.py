@@ -279,6 +279,72 @@ class TestBatchNorm:
             T.batch_norm(Tensor(np.zeros((1, 2, 2, 2))), T.vector([1.0]), T.vector([0.0]),
                          BatchNorm2d(2), True)
 
+    def test_leaky_output_is_hand_norm_then_leaky_relu(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(1.0, 2.0, size=(3, 2, 4, 5)).astype(np.float32))
+        gamma, beta = [0.7, 1.3], [0.2, -0.4]
+        y = T.batch_norm(x, T.vector(gamma), T.vector(beta), BatchNorm2d(2), True,
+                         act="leaky_relu", alpha=0.1)
+        z = reference.batchnorm_loops(x.data, gamma, beta)
+        assert (z < 0).any() and (z > 0).any()
+        np.testing.assert_allclose(y.data, np.where(z > 0, z, 0.1 * z), rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_leaky_gradients_equal_composed_ops(self, training):
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(2, 3, 4, 4)), dtype=np.float64, requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, (1, 3, 1, 1)), dtype=np.float64, requires_grad=True)
+        beta = Tensor(rng.normal(0, 0.3, (1, 3, 1, 1)), dtype=np.float64, requires_grad=True)
+        w = rng.normal(size=(2, 3, 4, 4))
+        state = BatchNorm2d(3).astype(np.float64)
+        state.num_updates[:] = 1
+        state.running_mean[:] = 0.1
+        state.running_var[:] = 0.8
+
+        def grads(f):
+            for p in (x, gamma, beta):
+                p.grad = None
+            backward(T.reduce_sum(T.mul(f(), Tensor(w, dtype=np.float64))))
+            return [p.grad for p in (x, gamma, beta)]
+
+        fused = grads(lambda: T.batch_norm(x, gamma, beta, state, training,
+                                           act="leaky_relu", alpha=0.2))
+        composed = grads(lambda: T.leaky_relu(T.batch_norm(x, gamma, beta, state, training), 0.2))
+        for a, b in zip(fused, composed):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    def test_large_offset_matches_float64_oracle(self):
+        # 1e4 + N(0, 1) in float32: E[x^2] - mean^2 cancels to garbage (even a
+        # negative variance) here, the centred two-pass variance does not
+        rng = np.random.default_rng(10)
+        raw = (1e4 + rng.normal(size=(8, 4, 16, 16))).astype(np.float32)
+        gamma, beta = [1.0, 0.5, 2.0, 1.0], [0.0, 0.1, -0.2, 0.3]
+        y = T.batch_norm(Tensor(raw), T.vector(gamma), T.vector(beta), BatchNorm2d(4), True)
+        oracle = reference.batchnorm_loops(raw.astype(np.float64), gamma, beta)
+        assert np.abs(y.data - oracle).max() < 1e-2
+
+    def test_single_value_per_channel_gives_act_beta_and_zero_gradient(self):
+        # M = N*H*W = 1: the value is its own mean, so it normalizes to zero
+        x = Tensor(np.array([3.0, -2.0], np.float32).reshape(1, 2, 1, 1), requires_grad=True)
+        beta = Tensor(np.array([0.5, -0.5], np.float32).reshape(1, 2, 1, 1), requires_grad=True)
+        state = BatchNorm2d(2)
+        y = T.batch_norm(x, T.vector([2.0, 3.0]), beta, state, True, act="leaky_relu", alpha=0.1)
+        np.testing.assert_array_equal(y.data.ravel(), np.float32([0.5, -0.05]))
+        backward(T.reduce_sum(y))
+        np.testing.assert_array_equal(x.grad, 0)
+        np.testing.assert_array_equal(beta.grad.ravel(), np.float32([1.0, 0.1]))
+        for buffer in (state.running_mean, state.running_var):
+            assert np.all(np.isfinite(buffer))
+        np.testing.assert_allclose(state.running_var.ravel(), 0.9)
+
+    @pytest.mark.parametrize("kw", [{"act": "relu"}, {"act": "sigmoid"},
+                                    {"act": "leaky_relu", "alpha": -0.1},
+                                    {"act": "leaky_relu", "alpha": 1.5}])
+    def test_unsupported_activation_raises(self, kw):
+        x = Tensor(np.zeros((2, 1, 2, 2), np.float32))
+        with pytest.raises(UsageError):
+            T.batch_norm(x, T.vector([1.0]), T.vector([0.0]), BatchNorm2d(1), True, **kw)
+
 
 class TestPoolLinearResize:
     def test_gap_mean(self):

@@ -117,6 +117,15 @@ class TestTrainLoop:
         for name, arr in snapshots["last"].items():
             assert np.array_equal(restored[name].data, arr)
 
+    def test_final_batch_of_one_trains_on_a_1x1_scale(self):
+        # 9 images at batch 8 leave a last batch of one image, whose scale-4
+        # map at input size 32 is 1x1: batch norm sees one value per channel
+        ds = generate_center(default_center_a(seed=78), 9, 32)
+        result = train(tiny_config(batch_size=8, epochs=2), ds, None)
+        assert len(result.step_losses) == 4
+        assert np.all(np.isfinite(result.step_losses))
+        assert np.all(np.isfinite(result.model.arena.buffers))
+
     def test_wrong_sample_size_rejected(self, tmp_path):
         ds = generate_center(default_center_a(), 4, 64)
         with pytest.raises(FormatError):
