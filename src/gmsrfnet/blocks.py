@@ -11,6 +11,7 @@ import numpy as np
 from .errors import ShapeError, UsageError
 from .tensor import (
     DEFAULT_DTYPE,
+    LEAKY_ALPHA,
     Tensor,
     activation,
     add,
@@ -26,8 +27,6 @@ from .tensor import (
     sigmoid,
     vector,
 )
-
-LEAKY_ALPHA = 0.01
 
 _GAINS = {
     "leaky_relu": math.sqrt(2.0 / (1.0 + LEAKY_ALPHA**2)),
@@ -204,9 +203,9 @@ class ConvBlock(Layer):
             y = conv2d(x, self.weight, self.bias, self.stride, self.padding, self.dilation)
         bn = self.bn
         if bn is None:
-            return activation(y, self.act, LEAKY_ALPHA)
+            return activation(y, self.act)
         return batch_norm(y, bn.gamma, bn.beta, bn, bn.training, bn.eps, bn.momentum,
-                          self.act, LEAKY_ALPHA)
+                          self.act)
 
 
 class SqueezeExcite(Layer):

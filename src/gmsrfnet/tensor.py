@@ -438,7 +438,10 @@ def relu(x):
     return _record(y, [x], backward_fn)
 
 
-def leaky_relu(x, alpha=0.01):
+LEAKY_ALPHA = 0.01
+
+
+def leaky_relu(x, alpha=LEAKY_ALPHA):
     y = np.where(x.data > 0, x.data, x.data * x.data.dtype.type(alpha))
 
     def backward_fn(g):
@@ -464,12 +467,8 @@ def sigmoid(x):
     return _record(y, [x], backward_fn)
 
 
-def activation(x, kind, alpha=0.01):
+def activation(x, kind):
     """Apply an activation selected by name; "linear" is the identity."""
-    if kind == "relu":
-        return relu(x)
-    if kind == "leaky_relu":
-        return leaky_relu(x, alpha)
     if kind == "sigmoid":
         return sigmoid(x)
     if kind == "linear":
@@ -481,10 +480,10 @@ def activation(x, kind, alpha=0.01):
 
 
 def batch_norm(x, gamma, beta, state, training, eps=1e-5, momentum=0.1,
-               act="linear", alpha=0.01):
+               act="linear"):
     """Per-channel batch normalization with running statistics, followed by
-    the activation ``act`` ("linear" or "leaky_relu" with slope ``alpha``),
-    recorded as one op.
+    the activation ``act`` ("linear" or "leaky_relu" with slope
+    ``LEAKY_ALPHA``), recorded as one op.
 
     ``state`` is any object holding the (1, C, 1, 1) arrays
     ``running_mean`` and ``running_var`` and the (1, 1, 1, 1) update count
@@ -496,12 +495,10 @@ def batch_norm(x, gamma, beta, state, training, eps=1e-5, momentum=0.1,
     requires at least one prior training update.
 
     The closed-form backward reads the leaky mask from the output's sign,
-    which alpha in [0, 1] keeps equal to the pre-activation's.
+    which a positive slope keeps equal to the pre-activation's.
     """
     if act not in ("linear", "leaky_relu"):
         raise UsageError(f"batch_norm: unsupported activation {act!r}")
-    if not 0 <= alpha <= 1:
-        raise UsageError(f"batch_norm: leaky slope must be in [0, 1], got {alpha}")
     n, c, h, w = x.shape
     if gamma.shape != (1, c, 1, 1) or beta.shape != (1, c, 1, 1):
         raise ShapeError(
@@ -535,7 +532,7 @@ def batch_norm(x, gamma, beta, state, training, eps=1e-5, momentum=0.1,
     y += beta.data
     leaky = act == "leaky_relu"
     if leaky:
-        slope = dt(alpha)
+        slope = dt(LEAKY_ALPHA)
         y = np.maximum(y, y * slope)
 
     def backward_fn(g):

@@ -234,6 +234,12 @@ class TestActivations:
         x = t([[1.5]])
         assert T.activation(x, "linear") is x
 
+    @pytest.mark.parametrize("kind", ["relu", "leaky_relu"])
+    def test_activation_rejects_kinds_without_a_caller(self, kind):
+        # leaky ReLU runs inside batch_norm, relu is called directly
+        with pytest.raises(UsageError):
+            T.activation(t([[1.5]]), kind)
+
 
 class TestBatchNorm:
     def test_two_value_normalization(self):
@@ -284,10 +290,10 @@ class TestBatchNorm:
         x = Tensor(rng.normal(1.0, 2.0, size=(3, 2, 4, 5)).astype(np.float32))
         gamma, beta = [0.7, 1.3], [0.2, -0.4]
         y = T.batch_norm(x, T.vector(gamma), T.vector(beta), BatchNorm2d(2), True,
-                         act="leaky_relu", alpha=0.1)
+                         act="leaky_relu")
         z = reference.batchnorm_loops(x.data, gamma, beta)
         assert (z < 0).any() and (z > 0).any()
-        np.testing.assert_allclose(y.data, np.where(z > 0, z, 0.1 * z), rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(y.data, np.where(z > 0, z, 0.01 * z), rtol=1e-5, atol=1e-6)
 
     @pytest.mark.parametrize("training", [True, False])
     def test_leaky_gradients_equal_composed_ops(self, training):
@@ -307,9 +313,8 @@ class TestBatchNorm:
             backward(T.reduce_sum(T.mul(f(), Tensor(w, dtype=np.float64))))
             return [p.grad for p in (x, gamma, beta)]
 
-        fused = grads(lambda: T.batch_norm(x, gamma, beta, state, training,
-                                           act="leaky_relu", alpha=0.2))
-        composed = grads(lambda: T.leaky_relu(T.batch_norm(x, gamma, beta, state, training), 0.2))
+        fused = grads(lambda: T.batch_norm(x, gamma, beta, state, training, act="leaky_relu"))
+        composed = grads(lambda: T.leaky_relu(T.batch_norm(x, gamma, beta, state, training)))
         for a, b in zip(fused, composed):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
@@ -328,22 +333,20 @@ class TestBatchNorm:
         x = Tensor(np.array([3.0, -2.0], np.float32).reshape(1, 2, 1, 1), requires_grad=True)
         beta = Tensor(np.array([0.5, -0.5], np.float32).reshape(1, 2, 1, 1), requires_grad=True)
         state = BatchNorm2d(2)
-        y = T.batch_norm(x, T.vector([2.0, 3.0]), beta, state, True, act="leaky_relu", alpha=0.1)
-        np.testing.assert_array_equal(y.data.ravel(), np.float32([0.5, -0.05]))
+        y = T.batch_norm(x, T.vector([2.0, 3.0]), beta, state, True, act="leaky_relu")
+        np.testing.assert_array_equal(y.data.ravel(), np.float32([0.5, -0.005]))
         backward(T.reduce_sum(y))
         np.testing.assert_array_equal(x.grad, 0)
-        np.testing.assert_array_equal(beta.grad.ravel(), np.float32([1.0, 0.1]))
+        np.testing.assert_array_equal(beta.grad.ravel(), np.float32([1.0, 0.01]))
         for buffer in (state.running_mean, state.running_var):
             assert np.all(np.isfinite(buffer))
         np.testing.assert_allclose(state.running_var.ravel(), 0.9)
 
-    @pytest.mark.parametrize("kw", [{"act": "relu"}, {"act": "sigmoid"},
-                                    {"act": "leaky_relu", "alpha": -0.1},
-                                    {"act": "leaky_relu", "alpha": 1.5}])
-    def test_unsupported_activation_raises(self, kw):
+    @pytest.mark.parametrize("act", ["relu", "sigmoid"])
+    def test_unsupported_activation_raises(self, act):
         x = Tensor(np.zeros((2, 1, 2, 2), np.float32))
         with pytest.raises(UsageError):
-            T.batch_norm(x, T.vector([1.0]), T.vector([0.0]), BatchNorm2d(1), True, **kw)
+            T.batch_norm(x, T.vector([1.0]), T.vector([0.0]), BatchNorm2d(1), True, act=act)
 
 
 class TestPoolLinearResize:
