@@ -21,7 +21,6 @@ from .tensor import (
     conv2d,
     conv_transpose2d,
     global_avg_pool,
-    linear,
     mul,
     relu,
     sigmoid,
@@ -221,8 +220,8 @@ class SqueezeExcite(Layer):
 
     def forward(self, x):
         s = global_avg_pool(x)
-        s = relu(linear(s, self.w1, self.b1))
-        gate = sigmoid(linear(s, self.w2, self.b2))
+        s = relu(conv2d(s, self.w1, self.b1))
+        gate = sigmoid(conv2d(s, self.w2, self.b2))
         return mul(x, broadcast_spatial(gate, x.shape[2], x.shape[3]))
 
 

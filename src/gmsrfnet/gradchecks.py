@@ -8,6 +8,7 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import BatchNorm2d, ConvBlock, Resampler, ResidualStage, RfbBlock, SqueezeExcite
+from .errors import UsageError
 from .gmsrf import GmsrfModule
 from .losses import total_loss
 from .network import ModelConfig, SegmentationModel
@@ -126,11 +127,6 @@ def op_checks(rng):
     g = _rand(rng, (2, 3, 4, 6))
     results.append(_check("global_avg_pool", lambda: _sq_mean(T.global_avg_pool(g)), [g]))
 
-    lx = _rand(rng, (3, 5, 1, 1))
-    lw = _rand(rng, (2, 5, 1, 1))
-    lb = _rand(rng, (1, 2, 1, 1))
-    results.append(_check("linear", lambda: _sq_mean(T.linear(lx, lw, lb)), [lx, lw, lb]))
-
     r = _rand(rng, (2, 2, 4, 4))
     results.append(_check("resize_bilinear_up", lambda: _sq_mean(T.resize_bilinear(r, 7, 9)), [r]))
     results.append(_check("resize_bilinear_down", lambda: _sq_mean(T.resize_bilinear(r, 2, 3)), [r]))
@@ -204,4 +200,4 @@ def run_suite(scope="op", seed=0):
         return block_checks(rng)
     if scope == "model":
         return model_checks(rng)
-    raise ValueError(f"unknown gradcheck scope {scope!r}")
+    raise UsageError(f"unknown gradcheck scope {scope!r}")

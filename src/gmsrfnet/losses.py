@@ -39,32 +39,21 @@ def _check_pair(pred, target):
     return target
 
 
-def bce_loss(pred, target, weights=None):
-    """Mean binary cross entropy; probabilities are clamped away from 0/1.
-
-    ``weights`` optionally reweights pixels (normalized by the weight sum).
-    """
+def bce_loss(pred, target):
+    """Mean binary cross entropy; probabilities are clamped away from 0/1."""
     target = _check_pair(pred, target)
     p = clamp(pred, PROB_CLAMP, 1.0 - PROB_CLAMP)
     term = add(mul(target, log(p)),
                mul(scale_shift(target, -1.0, 1.0), log(scale_shift(p, -1.0, 1.0))))
-    if weights is None:
-        return scale_shift(reduce_mean(term), -1.0, 0.0)
-    w = _check_pair(pred, weights)
-    total = float(w.data.sum())
-    return scale_shift(reduce_mean(mul(term, w)), -pred.size / total, 0.0)
+    return scale_shift(reduce_mean(term), -1.0, 0.0)
 
 
-def soft_iou_loss(pred, target, eps=1.0, weights=None):
+def soft_iou_loss(pred, target, eps=1.0):
     """1 - soft intersection-over-union, computed per image then averaged.
 
     With binary predictions and eps -> 0 this equals 1 - IoU exactly.
     """
     target = _check_pair(pred, target)
-    if weights is not None:
-        w = _check_pair(pred, weights)
-        pred = mul(pred, w)
-        target = mul(target, w)
     inter = reduce_sum_per_image(mul(pred, target))
     union = add(add(reduce_sum_per_image(pred), reduce_sum_per_image(target)),
                 scale_shift(inter, -1.0, 0.0))
@@ -72,47 +61,16 @@ def soft_iou_loss(pred, target, eps=1.0, weights=None):
     return scale_shift(reduce_mean(iou), -1.0, 1.0)
 
 
-def dual_loss(pred, target, eps=1.0, weights=None):
-    return add(bce_loss(pred, target, weights), soft_iou_loss(pred, target, eps, weights))
+def dual_loss(pred, target, eps=1.0):
+    return add(bce_loss(pred, target), soft_iou_loss(pred, target, eps))
 
 
-def total_loss(maps, target, eps=1.0, weights=None):
+def total_loss(maps, target):
     """Deep-supervision objective: sum of the dual loss over all four maps."""
-    out = dual_loss(maps[0], target, eps, weights)
+    out = dual_loss(maps[0], target)
     for m in maps[1:]:
-        out = add(out, dual_loss(m, target, eps, weights))
+        out = add(out, dual_loss(m, target))
     return out
-
-
-def boundary_weights(target, margin=3, peak=2.0):
-    """Optional pixel weights emphasizing mask boundaries.
-
-    Weight is 1 + (peak - 1) * max(0, 1 - d/margin) where d is the chamfer
-    (city-block) distance to the nearest mask edge. Off by default everywhere.
-    """
-    t = target.data if isinstance(target, Tensor) else np.asarray(target)
-    n, c, h, w = t.shape
-    binary = t >= 0.5
-    edge = np.zeros_like(binary)
-    edge[:, :, :-1, :] |= binary[:, :, :-1, :] != binary[:, :, 1:, :]
-    edge[:, :, 1:, :] |= binary[:, :, :-1, :] != binary[:, :, 1:, :]
-    edge[:, :, :, :-1] |= binary[:, :, :, :-1] != binary[:, :, :, 1:]
-    edge[:, :, :, 1:] |= binary[:, :, :, :-1] != binary[:, :, :, 1:]
-
-    big = h + w
-    dist = np.where(edge, 0.0, float(big))
-    # two-pass chamfer transform per image/channel
-    for _ in range(2):
-        for i in range(1, h):
-            dist[:, :, i, :] = np.minimum(dist[:, :, i, :], dist[:, :, i - 1, :] + 1)
-        for i in range(h - 2, -1, -1):
-            dist[:, :, i, :] = np.minimum(dist[:, :, i, :], dist[:, :, i + 1, :] + 1)
-        for j in range(1, w):
-            dist[:, :, :, j] = np.minimum(dist[:, :, :, j], dist[:, :, :, j - 1] + 1)
-        for j in range(w - 2, -1, -1):
-            dist[:, :, :, j] = np.minimum(dist[:, :, :, j], dist[:, :, :, j + 1] + 1)
-    ramp = np.maximum(0.0, 1.0 - dist / float(margin))
-    return (1.0 + (peak - 1.0) * ramp).astype(t.dtype)
 
 
 # -- metrics --------------------------------------------------------------------
@@ -170,11 +128,6 @@ def metrics(counts):
     )
 
 
-def background_iou(counts):
-    both_empty = counts.tn == 0 and counts.fp == 0 and counts.fn == 0
-    return _ratio(counts.tn, counts.tn + counts.fp + counts.fn, both_empty)
-
-
 @dataclass
 class MetricRow:
     id: str
@@ -190,20 +143,14 @@ class MetricReport:
 
     label: str
     rows: list = field(default_factory=list)
-    miou_mode: str = "foreground"   # or "two_class"
-    iou_two_class: list = field(default_factory=list)
 
     @property
     def means(self):
         if not self.rows:
             return {"dsc": 0.0, "miou": 0.0, "recall": 0.0, "precision": 0.0}
-        if self.miou_mode == "two_class":
-            miou = float(np.mean(self.iou_two_class))
-        else:
-            miou = float(np.mean([r.iou for r in self.rows]))
         return {
             "dsc": float(np.mean([r.dsc for r in self.rows])),
-            "miou": miou,
+            "miou": float(np.mean([r.iou for r in self.rows])),
             "recall": float(np.mean([r.recall for r in self.rows])),
             "precision": float(np.mean([r.precision for r in self.rows])),
         }
@@ -219,7 +166,6 @@ class MetricReport:
     def write_json(self, path):
         doc = {
             "label": self.label,
-            "miou_mode": self.miou_mode,
             "means": self.means,
             "rows": [
                 {"id": r.id, "dsc": r.dsc, "iou": r.iou,
@@ -231,12 +177,11 @@ class MetricReport:
             json.dump(doc, f, indent=2)
 
 
-def build_report(ids, preds, targets, label, threshold=0.5, miou_mode="foreground"):
-    """Evaluate per-image predictions against masks into a MetricReport."""
-    report = MetricReport(label=label, miou_mode=miou_mode)
+def build_report(ids, preds, targets, label, threshold=0.5):
+    """Evaluate per-image predictions against masks into a MetricReport; its
+    mIoU is the mean foreground IoU."""
+    report = MetricReport(label=label)
     for sample_id, p, t in zip(ids, preds, targets):
-        counts = confusion(p, t, threshold)
-        m = metrics(counts)
+        m = metrics(confusion(p, t, threshold))
         report.rows.append(MetricRow(sample_id, m.dsc, m.iou, m.recall, m.precision))
-        report.iou_two_class.append((m.iou + background_iou(counts)) / 2.0)
     return report

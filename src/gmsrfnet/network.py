@@ -247,7 +247,7 @@ def load_checkpoint(path):
         header = json.loads(blob[pos : pos + header_len].decode())
         config = ModelConfig.from_dict(header["config"])
         index = header["tensors"]
-    except (ValueError, KeyError, TypeError, ConfigError) as e:
+    except (ValueError, RecursionError, KeyError, TypeError, ConfigError) as e:
         raise FormatError(f"unreadable checkpoint header: {e}") from e
     pos += header_len
 

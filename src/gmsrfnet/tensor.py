@@ -228,6 +228,84 @@ def _col2im(cols, out_shape, stride, dilation):
 
 
 # -- convolution --------------------------------------------------------------
+#
+# Three array-level kernels hold all convolution numerics for a kernel of
+# shape (Cout, Cin, Kh, Kw): the forward, its adjoint (the input gradient)
+# and the weight gradient. conv2d records the forward, conv_transpose2d (its
+# adjoint) records the adjoint, and each op's backward runs the other two.
+
+
+def _conv_forward(x, w, stride, padding, dilation, out_h, out_w):
+    """Correlate x with w into (N, Cout, out_h, out_w); also returns the
+    (N, Cin*Kh*Kw, out_h*out_w) columns the weight gradient needs. A 1x1
+    kernel at stride 1 without padding is a channel matmul with no gather."""
+    n, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    if kh == kw == 1 and stride == 1 and padding == 0:
+        cols = x.reshape(n, cin, h * wd)
+    else:
+        cols = _im2col(_pad(x, padding, padding), kh, kw, stride, dilation, out_h, out_w)
+        cols = cols.reshape(n, cin * kh * kw, out_h * out_w)
+    return np.matmul(w.reshape(cout, -1), cols).reshape(n, cout, out_h, out_w), cols
+
+
+def _conv_adjoint(g, w, stride, padding, dilation, h, wd):
+    """Adjoint of _conv_forward: maps g (N, Cout, out_h, out_w) onto an
+    (N, Cin, h, wd) input.
+
+    The geometry picks the path. A 1x1 kernel at stride 1 without padding is
+    a channel matmul. Other stride-1 kernels correlate g, padded by
+    d*(K-1) - p, with the spatially flipped, channel-transposed kernel.
+    Strided kernels scatter the windows back with _col2im."""
+    n, cout, out_h, out_w = g.shape
+    _, cin, kh, kw = w.shape
+    if kh == kw == 1 and stride == 1 and padding == 0:
+        return np.matmul(w.reshape(cout, cin).T, g.reshape(n, cout, -1)).reshape(n, cin, h, wd)
+    if stride == 1:
+        gp = _pad(g, dilation * (kh - 1) - padding, dilation * (kw - 1) - padding)
+        g_cols = _im2col(gp, kh, kw, 1, dilation, h, wd).reshape(n, cout * kh * kw, h * wd)
+        w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        return np.matmul(w_flip.reshape(cin, -1), g_cols).reshape(n, cin, h, wd)
+    g_cols = np.matmul(w.reshape(cout, -1).T, g.reshape(n, cout, -1))
+    g_cols = g_cols.reshape(n, cin, kh, kw, out_h, out_w)
+    g_xp = _col2im(g_cols, (n, cin, h + 2 * padding, wd + 2 * padding), stride, dilation)
+    return g_xp[:, :, padding : padding + h, padding : padding + wd]
+
+
+def _conv_weight_grad(g, cols, w_shape):
+    """Weight gradient from an output-shaped g and _conv_forward's columns."""
+    n, cout = g.shape[:2]
+    g_w = np.matmul(g.reshape(n, cout, -1), cols.transpose(0, 2, 1))
+    return g_w.sum(axis=0).reshape(w_shape)
+
+
+def _check_conv(op, x, weight, bias, cker, cout, out_h, out_w, stride, padding):
+    """Shape checks shared by both convolution ops; cker and cout are the
+    kernel's input and output channel counts."""
+    _, cin, h, w = x.shape
+    kh, kw = weight.shape[2:]
+    if cker != cin:
+        raise ShapeError(f"{op}: input has {cin} channels but kernel expects {cker}")
+    if out_h < 1 or out_w < 1:
+        raise ShapeError(
+            f"{op}: non-positive output size {out_h}x{out_w} "
+            f"for input {h}x{w}, kernel {kh}x{kw}, stride {stride}, padding {padding}"
+        )
+    if bias is not None and bias.shape != (1, cout, 1, 1):
+        raise ShapeError(f"{op}: bias shape {bias.shape} does not match {cout} output channels")
+
+
+def _record_conv(y, x, weight, bias, grads):
+    """Add the bias and record a convolution whose grads(g) returns
+    (g_x, g_w); the bias gradient is appended when there is a bias."""
+    if bias is None:
+        return _record(y, [x, weight], grads)
+    y += bias.data
+
+    def backward_fn(g):
+        return grads(g) + (g.sum(axis=(0, 2, 3)).reshape(bias.shape),)
+
+    return _record(y, [x, weight, bias], backward_fn)
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
@@ -235,109 +313,45 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
 
     weight is (Cout, Cin, Kh, Kw); bias, when given, is a (1, Cout, 1, 1)
     tensor. Output spatial size is floor((H + 2p - d*(K-1) - 1)/s) + 1.
-
-    The geometry picks one of three paths. A 1x1 kernel at stride 1 without
-    padding is a plain channel matmul in both directions. Other stride-1
-    convolutions gather windows for the forward, and compute the input
-    gradient as the correlation of the upstream gradient, padded by
-    d*(K-1) - p, with the spatially flipped, channel-transposed kernel.
-    Strided convolutions scatter the input gradient back with _col2im.
     """
     if stride < 1 or padding < 0 or dilation < 1:
         raise UsageError(f"conv2d: bad stride/padding/dilation ({stride}, {padding}, {dilation})")
-    n, cin, h, w = x.shape
-    cout, cker, kh, kw = weight.shape
-    if cker != cin:
-        raise ShapeError(f"conv2d: input has {cin} channels but kernel expects {cker}")
+    h, w = x.shape[2:]
+    cout, cin, kh, kw = weight.shape
     out_h = (h + 2 * padding - dilation * (kh - 1) - 1) // stride + 1
     out_w = (w + 2 * padding - dilation * (kw - 1) - 1) // stride + 1
-    if out_h < 1 or out_w < 1:
-        raise ShapeError(
-            f"conv2d: non-positive output size {out_h}x{out_w} "
-            f"for input {h}x{w}, kernel {kh}x{kw}, stride {stride}, padding {padding}"
-        )
-    if bias is not None and bias.shape != (1, cout, 1, 1):
-        raise ShapeError(f"conv2d: bias shape {bias.shape} does not match {cout} output channels")
+    _check_conv("conv2d", x, weight, bias, cin, cout, out_h, out_w, stride, padding)
+    wd = weight.data
+    y, cols = _conv_forward(x.data, wd, stride, padding, dilation, out_h, out_w)
 
-    w_mat = weight.data.reshape(cout, -1)
-    pointwise = kh == kw == 1 and stride == 1 and padding == 0
-    if pointwise:
-        cols_mat = x.data.reshape(n, cin, h * w)
-    else:
-        cols = _im2col(_pad(x.data, padding, padding), kh, kw, stride, dilation, out_h, out_w)
-        cols_mat = cols.reshape(n, cin * kh * kw, out_h * out_w)
-    y = np.matmul(w_mat, cols_mat).reshape(n, cout, out_h, out_w)
-    if bias is not None:
-        y += bias.data
+    def grads(g):
+        return (_conv_adjoint(g, wd, stride, padding, dilation, h, w),
+                _conv_weight_grad(g, cols, wd.shape))
 
-    def input_grad(g, g_mat):
-        if pointwise:
-            return np.matmul(w_mat.T, g_mat).reshape(x.shape)
-        if stride == 1:
-            gp = _pad(g, dilation * (kh - 1) - padding, dilation * (kw - 1) - padding)
-            g_cols = _im2col(gp, kh, kw, 1, dilation, h, w).reshape(n, cout * kh * kw, h * w)
-            w_flip = w_mat.reshape(weight.shape)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            return np.matmul(w_flip.reshape(cin, -1), g_cols).reshape(x.shape)
-        g_cols = np.matmul(w_mat.T, g_mat).reshape(n, cin, kh, kw, out_h, out_w)
-        g_xp = _col2im(g_cols, (n, cin, h + 2 * padding, w + 2 * padding), stride, dilation)
-        return g_xp[:, :, padding : padding + h, padding : padding + w]
-
-    def backward_fn(g):
-        g_mat = g.reshape(n, cout, -1)
-        g_w = np.matmul(g_mat, cols_mat.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
-        g_x = input_grad(g, g_mat)
-        if bias is not None:
-            g_b = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1)
-            return g_x, g_w, g_b
-        return g_x, g_w
-
-    inputs = [x, weight] if bias is None else [x, weight, bias]
-    return _record(y, inputs, backward_fn)
+    return _record_conv(y, x, weight, bias, grads)
 
 
 def conv_transpose2d(x, weight, bias=None, stride=1, padding=0):
-    """Transposed 2-D convolution, the adjoint of conv2d with the same
-    geometry.
+    """Transposed 2-D convolution: the adjoint of conv2d with the same
+    geometry, so its input gradient is that conv2d's forward.
 
     weight is (Cin, Cout, Kh, Kw); output spatial size is (H-1)*s - 2p + K.
-    The gradient w.r.t. the input is the corresponding forward convolution.
     """
     if stride < 1 or padding < 0:
         raise UsageError(f"conv_transpose2d: bad stride/padding ({stride}, {padding})")
-    n, cin, h, w = x.shape
-    cker, cout, kh, kw = weight.shape
-    if cker != cin:
-        raise ShapeError(f"conv_transpose2d: input has {cin} channels but kernel expects {cker}")
+    h, w = x.shape[2:]
+    cin, cout, kh, kw = weight.shape
     out_h = (h - 1) * stride - 2 * padding + kh
     out_w = (w - 1) * stride - 2 * padding + kw
-    if out_h < 1 or out_w < 1:
-        raise ShapeError(
-            f"conv_transpose2d: non-positive output size {out_h}x{out_w} "
-            f"for input {h}x{w}, kernel {kh}x{kw}, stride {stride}, padding {padding}"
-        )
-    if bias is not None and bias.shape != (1, cout, 1, 1):
-        raise ShapeError(f"conv_transpose2d: bias shape {bias.shape} does not match {cout} output channels")
+    _check_conv("conv_transpose2d", x, weight, bias, cin, cout, out_h, out_w, stride, padding)
+    wd = weight.data
+    y = _conv_adjoint(x.data, wd, stride, padding, 1, out_h, out_w)
 
-    w_mat = weight.data.reshape(cin, cout * kh * kw)
-    x_mat = x.data.reshape(n, cin, h * w)
-    cols = np.matmul(w_mat.T, x_mat).reshape(n, cout, kh, kw, h, w)
-    y_pad = _col2im(cols, (n, cout, out_h + 2 * padding, out_w + 2 * padding), stride, 1)
-    y = y_pad[:, :, padding : padding + out_h, padding : padding + out_w].copy() if padding else y_pad
-    if bias is not None:
-        y += bias.data
+    def grads(g):
+        g_x, g_cols = _conv_forward(g, wd, stride, padding, 1, h, w)
+        return g_x, _conv_weight_grad(x.data, g_cols, wd.shape)
 
-    def backward_fn(g):
-        gp = _pad(g, padding, padding)
-        g_cols = _im2col(gp, kh, kw, stride, 1, h, w).reshape(n, cout * kh * kw, h * w)
-        g_x = np.matmul(w_mat, g_cols).reshape(x.shape)
-        g_w = np.matmul(x_mat, g_cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
-        if bias is not None:
-            g_b = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1)
-            return g_x, g_w, g_b
-        return g_x, g_w
-
-    inputs = [x, weight] if bias is None else [x, weight, bias]
-    return _record(y, inputs, backward_fn)
+    return _record_conv(y, x, weight, bias, grads)
 
 
 # -- structural ops -----------------------------------------------------------
@@ -549,7 +563,7 @@ def batch_norm(x, gamma, beta, state, training, eps=1e-5, momentum=0.1,
     return _record(y, [x, gamma, beta], backward_fn)
 
 
-# -- pooling / projection / resize ---------------------------------------------
+# -- pooling / resize ---------------------------------------------------------
 
 
 def global_avg_pool(x):
@@ -574,37 +588,6 @@ def broadcast_spatial(x, out_h, out_w):
         return (g.sum(axis=(2, 3), keepdims=True),)
 
     return _record(y, [x], backward_fn)
-
-
-def linear(x, weight, bias=None):
-    """Affine map over channels of a pooled (N, C, 1, 1) tensor.
-
-    weight is (Cout, Cin, 1, 1), bias (1, Cout, 1, 1).
-    """
-    n, cin, h, w = x.shape
-    if (h, w) != (1, 1):
-        raise ShapeError(f"linear expects spatial size 1x1, got {x.shape}")
-    cout, cker = weight.shape[:2]
-    if weight.shape[2:] != (1, 1) or cker != cin:
-        raise ShapeError(f"linear: weight {weight.shape} incompatible with input {x.shape}")
-    if bias is not None and bias.shape != (1, cout, 1, 1):
-        raise ShapeError(f"linear: bias shape {bias.shape} does not match {cout} outputs")
-    w_mat = weight.data.reshape(cout, cin)
-    x_mat = x.data.reshape(n, cin)
-    y = x_mat @ w_mat.T
-    if bias is not None:
-        y = y + bias.data.reshape(1, cout)
-
-    def backward_fn(g):
-        g_mat = g.reshape(n, cout)
-        g_x = (g_mat @ w_mat).reshape(x.shape)
-        g_w = (g_mat.T @ x_mat).reshape(weight.shape)
-        if bias is not None:
-            return g_x, g_w, g_mat.sum(axis=0).reshape(1, cout, 1, 1)
-        return g_x, g_w
-
-    inputs = [x, weight] if bias is None else [x, weight, bias]
-    return _record(y.reshape(n, cout, 1, 1), inputs, backward_fn)
 
 
 def interp_matrix(n_out, n_in, dtype=np.float64):

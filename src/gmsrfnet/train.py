@@ -197,15 +197,13 @@ def predict_maps(model, dataset, batch_size=8):
     return preds
 
 
-def evaluate_model(model, dataset, label="", threshold=0.5, batch_size=8,
-                   miou_mode="foreground"):
+def evaluate_model(model, dataset, label="", threshold=0.5, batch_size=8):
     preds = predict_maps(model, dataset, batch_size)
     targets = [s.mask for s in dataset.samples]
-    return build_report(dataset.ids(), preds, targets, label, threshold, miou_mode)
+    return build_report(dataset.ids(), preds, targets, label, threshold)
 
 
-def evaluate(checkpoint, dataset, out_base=None, label="", threshold=0.5,
-             miou_mode="foreground"):
+def evaluate(checkpoint, dataset, out_base=None, label="", threshold=0.5):
     """Evaluate a checkpoint (path or loaded model) on a dataset; optionally
     write <out_base>.csv and <out_base>.json."""
     model = load_checkpoint(checkpoint) if isinstance(checkpoint, (str, os.PathLike)) else checkpoint
@@ -215,8 +213,7 @@ def evaluate(checkpoint, dataset, out_base=None, label="", threshold=0.5,
             raise FormatError(
                 f"sample {s.id} has size {s.image.shape[1:]}, checkpoint expects {size}x{size}"
             )
-    report = evaluate_model(model, dataset, label or dataset.center_id, threshold,
-                            miou_mode=miou_mode)
+    report = evaluate_model(model, dataset, label or dataset.center_id, threshold)
     if out_base:
         report.write_csv(out_base + ".csv")
         report.write_json(out_base + ".json")

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from gmsrfnet import tensor as T
+from gmsrfnet.errors import UsageError
 from gmsrfnet.gradchecks import run_suite
 from gmsrfnet.tensor import Tensor, finite_diff_gradcheck
 
@@ -20,7 +21,7 @@ class TestSuite:
         assert not failing, failing
 
     def test_unknown_scope_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             run_suite("universe")
 
 

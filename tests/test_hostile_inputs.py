@@ -1,5 +1,6 @@
-"""Property tests: malformed configs, manifests and PNM files give a value or
-a GmsrfError subclass, never a bare Python or numpy exception."""
+"""Property tests: malformed configs, manifests, PNM files and checkpoint
+headers give a value or a GmsrfError subclass, never a bare Python or numpy
+exception."""
 import dataclasses
 import json
 import os
@@ -20,9 +21,17 @@ from gmsrfnet.data import (
     read_pnm,
     save_dataset,
 )
-from gmsrfnet.errors import ConfigError, FormatError
-from gmsrfnet.network import ModelConfig
+from gmsrfnet.errors import ConfigError, CorruptionError, FormatError
+from gmsrfnet.network import (
+    ModelConfig,
+    SegmentationModel,
+    build_model,
+    load_checkpoint,
+    save_checkpoint,
+)
 from gmsrfnet.train import TrainConfig
+
+from test_network import MICRO, replace_header
 
 SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
            | st.integers(-2**70, 2**70) | st.text(max_size=6))
@@ -166,6 +175,37 @@ class TestManifest:
         write_manifest(folder, text)
         with pytest.raises(FormatError):
             load_folder(folder, 16)
+
+
+@pytest.fixture(scope="module")
+def micro_checkpoint():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.ckpt")
+        save_checkpoint(build_model(MICRO), path)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+CHECKPOINT_HEADERS = (
+    st.binary(max_size=200)
+    | JSON.map(lambda d: json.dumps(d).encode())
+    | st.fixed_dictionaries({"config": JSON | field_dicts(ModelConfig), "tensors": JSON})
+    .map(lambda d: json.dumps(d).encode())
+    | st.integers(1, 10**5).map(lambda k: b"[" * k + b"]" * k)
+)
+
+
+class TestCheckpointHeader:
+    @SETTINGS
+    @given(CHECKPOINT_HEADERS)
+    def test_arbitrary_header_bytes(self, micro_checkpoint, header):
+        # the length field is rewritten to match, so only the header is hostile
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.ckpt")
+            with open(path, "wb") as f:
+                f.write(replace_header(header)(micro_checkpoint))
+            value_or_error(load_checkpoint, path, SegmentationModel,
+                           (FormatError, CorruptionError))
 
 
 PNM_HEADERS = st.builds(

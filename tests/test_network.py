@@ -243,6 +243,18 @@ class TestAstype:
         assert all(p.data.base is model.arena.params for p in model.parameters())
 
 
+def replace_header(header):
+    """Blob transform that puts the bytes ``header`` in place of the stored
+    header and rewrites the length field to match."""
+
+    def apply(blob):
+        header_len = int.from_bytes(blob[6:10], "little")
+        return (CHECKPOINT_MAGIC + len(header).to_bytes(4, "little") + header
+                + blob[10 + header_len :])
+
+    return apply
+
+
 def edit_header(edit):
     """Blob transform that applies ``edit`` to the parsed header JSON."""
 
@@ -250,9 +262,7 @@ def edit_header(edit):
         header_len = int.from_bytes(blob[6:10], "little")
         header = json.loads(blob[10 : 10 + header_len].decode())
         edit(header)
-        new_header = json.dumps(header).encode()
-        return (CHECKPOINT_MAGIC + len(new_header).to_bytes(4, "little") + new_header
-                + blob[10 + header_len :])
+        return replace_header(json.dumps(header).encode())(blob)
 
     return apply
 
@@ -314,6 +324,8 @@ MALFORMED_CHECKPOINTS = [
                  id="config-mistyped"),
     pytest.param(edit_header(swap_first_two), FormatError, id="index-out-of-order"),
     pytest.param(add_stale_conv_bias, FormatError, id="stale-conv-bias"),
+    pytest.param(replace_header(b"[" * 100_000 + b"]" * 100_000), FormatError,
+                 id="deeply-nested-header"),
 ]
 
 

@@ -85,6 +85,7 @@ class TestConv2d:
         ((1, 1), 2, 0, 1, 7),
         ((3, 3), 1, 3, 1, 5),   # padding beyond d*(K-1): the gradient is cropped
         ((1, 3), 1, 1, 1, 6),   # rows cropped, columns padded
+        ((1, 1), 1, 0, 1, 1),   # squeeze-excitation projection on a pooled map
     ])
     def test_input_gradient_matches_loop_adjoint(self, kernel, stride, padding, dilation, size):
         rng = np.random.default_rng(sum(kernel) + 10 * stride + 100 * padding + 1000 * dilation)
@@ -138,6 +139,17 @@ class TestConvTranspose2d:
         y = T.conv_transpose2d(x, w, b, stride, padding)
         expected = reference.conv_transpose2d_loops(x.data, w.data, b.data.ravel(), stride, padding)
         np.testing.assert_allclose(y.data, expected, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 0), (2, 1), (3, 1)])
+    def test_input_gradient_is_conv2d(self, stride, padding):
+        rng = np.random.default_rng(17 + stride + 10 * padding)
+        x = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True, dtype=np.float64)
+        w = Tensor(rng.normal(size=(3, 2, 3, 3)), dtype=np.float64)
+        y = T.conv_transpose2d(x, w, stride=stride, padding=padding)
+        g = rng.normal(size=y.shape)
+        backward(T.reduce_sum(T.mul(y, Tensor(g))))
+        expected = reference.conv2d_loops(g, w.data, stride=stride, padding=padding)
+        np.testing.assert_allclose(x.grad, expected, rtol=1e-12, atol=1e-12)
 
     def test_adjoint_identity_float32(self):
         # geometry where (H + 2p - K) divides the stride, so sizes round-trip
@@ -362,28 +374,6 @@ class TestPoolLinearResize:
                    requires_grad=True)
         backward(T.reduce_sum(T.global_avg_pool(x)))
         np.testing.assert_allclose(x.grad, 1.0 / 16.0, rtol=1e-6)
-
-    def test_linear_identity(self):
-        x = Tensor(np.random.default_rng(9).normal(size=(2, 3, 1, 1)).astype(np.float32))
-        w = Tensor(np.eye(3, dtype=np.float32).reshape(3, 3, 1, 1))
-        np.testing.assert_allclose(T.linear(x, w).data, x.data, rtol=1e-6)
-
-    def test_linear_sum_row(self):
-        x = Tensor(np.array([2.0, 3.0], np.float32).reshape(1, 2, 1, 1))
-        w = Tensor(np.ones((1, 2, 1, 1), np.float32))
-        assert T.linear(x, w).item() == 5.0
-
-    def test_linear_bias_only(self):
-        x = Tensor(np.random.default_rng(10).normal(size=(2, 3, 1, 1)).astype(np.float32))
-        w = Tensor(np.zeros((2, 3, 1, 1), np.float32))
-        b = T.vector([1.5, -2.5])
-        y = T.linear(x, w, b)
-        np.testing.assert_array_equal(y.data[:, 0], 1.5)
-        np.testing.assert_array_equal(y.data[:, 1], -2.5)
-
-    def test_linear_requires_1x1(self):
-        with pytest.raises(ShapeError):
-            T.linear(Tensor(np.zeros((1, 2, 2, 2))), Tensor(np.zeros((2, 2, 1, 1))))
 
     def test_resize_same_size_identity(self):
         x = Tensor(np.random.default_rng(11).normal(size=(1, 2, 5, 7)).astype(np.float32))
