@@ -37,7 +37,7 @@ _GAINS = {
 
 def he_weight(rng, shape, fan_in, act="leaky_relu"):
     std = _GAINS[act] / math.sqrt(fan_in)
-    return Tensor(rng.normal(0.0, std, shape).astype(DEFAULT_DTYPE), requires_grad=True)
+    return Tensor(rng.normal(0.0, std, shape).astype(DEFAULT_DTYPE, copy=False), requires_grad=True)
 
 
 class Arena:
@@ -48,10 +48,12 @@ class Arena:
     ``names``, ``shapes`` and element ``offsets`` list the parameters, then
     the buffers, in registry order, which is the checkpoint payload order.
     ``layers`` is the tree in pre-order, its root as a weak proxy so that no
-    reference cycle keeps a dropped model alive.
+    reference cycle keeps a dropped model alive. ``check(names, shapes)``,
+    when given, runs after the walk and before the flat arrays are
+    allocated, so it can refuse a tree without paying for its state.
     """
 
-    def __init__(self, root):
+    def __init__(self, root, check=None):
         self.layers, self.names, self.tensors = [], [], []
         self.slots = []  # (name, layer, attribute) of each buffer
         self._visit("", weakref.proxy(root))
@@ -61,6 +63,8 @@ class Arena:
         if len(dtypes) > 1:
             raise UsageError(f"layer state mixes dtypes {sorted(d.name for d in dtypes)}")
         self.shapes = [a.shape for a in arrays]
+        if check is not None:
+            check(self.names, self.shapes)
         self.offsets = list(itertools.accumulate((a.size for a in arrays), initial=0))
         empty, n = np.empty(0, dtypes.pop()), len(self.tensors)
         self.params, self.buffers = (np.concatenate([a.reshape(-1) for a in part] + [empty])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import ConvBlock, Layer, ResidualStage, RfbBlock
+from .blocks import Arena, ConvBlock, Layer, ResidualStage, RfbBlock
 from .errors import ConfigError, CorruptionError, FormatError, ShapeError, check_fields, config_fields
 from .gmsrf import GmsrfModule
 from .tensor import concat_channels, resize_bilinear, sigmoid
@@ -230,8 +230,9 @@ _NO_DRAWS = types.SimpleNamespace(normal=lambda loc, scale, size: np.zeros(size,
 def load_checkpoint(path):
     """Rebuild a model from a checkpoint file; verifies magic, CRC, and the
     agreement between the stored config and every stored tensor name (in
-    order), shape and offset. The payload's parameter block and buffer block
-    are each copied into the model's arena in one step."""
+    order), shape and offset, the last before the model's arena is
+    allocated. The payload's parameter block and buffer block are each
+    copied into the arena in one step."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -262,13 +263,17 @@ def load_checkpoint(path):
     if (zlib.crc32(payload) & 0xFFFFFFFF) != stored_crc:
         raise CorruptionError("checkpoint payload CRC mismatch")
 
+    def check(names, shapes):
+        if list(index) != names:
+            raise FormatError("checkpoint tensor index does not list the config's tensors in order")
+        for name, entry, shape in zip(names, index.values(), shapes):
+            if tuple(entry["shape"]) != shape:
+                raise FormatError(f"tensor {name} has shape {tuple(entry['shape'])}, config implies {shape}")
+
+    # the model's init arrays are _NO_DRAWS zeros whose pages nothing touches;
+    # the arena, which writes every byte, is only allocated once the index fits
     model = SegmentationModel(config, rng=_NO_DRAWS)
-    arena = model.arena
-    if list(index) != arena.names:
-        raise FormatError("checkpoint tensor index does not list the config's tensors in order")
-    for name, entry, shape in zip(arena.names, index.values(), arena.shapes):
-        if tuple(entry["shape"]) != shape:
-            raise FormatError(f"tensor {name} has shape {tuple(entry['shape'])}, config implies {shape}")
+    model._arena = arena = Arena(model, check)
     count = arena.params.size
     arena.params[...] = np.frombuffer(payload, "<f4", count=count)
     arena.buffers[...] = np.frombuffer(payload, "<f4", offset=4 * count)

@@ -185,26 +185,24 @@ def _check_same_shape(op, x, y):
         raise ShapeError(f"{op}: shapes {x.shape} and {y.shape} differ")
 
 
-def _pad(a, ph, pw):
-    """Zero-pad the spatial axes by ph rows and pw columns on each side; a
-    negative amount crops that axis instead."""
-    n, c, h, w = a.shape
-    a = a[:, :, max(-ph, 0) : h - max(-ph, 0), max(-pw, 0) : w - max(-pw, 0)]
-    ph, pw = max(ph, 0), max(pw, 0)
-    if not (ph or pw):
+def _pad(a, p):
+    """Zero-pad both spatial axes by p on each side; a negative p crops."""
+    if p < 0:
+        return a[:, :, -p : a.shape[2] + p, -p : a.shape[3] + p]
+    if p == 0:
         return a
-    h, w = a.shape[2:]
-    out = np.zeros((n, c, h + 2 * ph, w + 2 * pw), a.dtype)
-    out[:, :, ph : ph + h, pw : pw + w] = a
+    n, c, h, w = a.shape
+    out = np.zeros((n, c, h + 2 * p, w + 2 * p), a.dtype)
+    out[:, :, p : p + h, p : p + w] = a
     return out
 
 
-def _im2col(xp, kh, kw, stride, dilation, out_h, out_w):
-    """Gather sliding windows of a padded input into (N, C, kh, kw, out_h, out_w)."""
+def _im2col(xp, k, stride, dilation, out_h, out_w):
+    """Gather sliding windows of a padded input into (N, C, k, k, out_h, out_w)."""
     n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh, kw, out_h, out_w), xp.dtype)
-    for u in range(kh):
-        for v in range(kw):
+    cols = np.empty((n, c, k, k, out_h, out_w), xp.dtype)
+    for u in range(k):
+        for v in range(k):
             cols[:, :, u, v] = xp[
                 :, :,
                 u * dilation : u * dilation + (out_h - 1) * stride + 1 : stride,
@@ -213,63 +211,43 @@ def _im2col(xp, kh, kw, stride, dilation, out_h, out_w):
     return cols
 
 
-def _col2im(cols, out_shape, stride, dilation):
-    """Exact adjoint of _im2col: scatter-add windows back into out_shape."""
-    kh, kw, out_h, out_w = cols.shape[2:]
-    out = np.zeros(out_shape, cols.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            out[
-                :, :,
-                u * dilation : u * dilation + (out_h - 1) * stride + 1 : stride,
-                v * dilation : v * dilation + (out_w - 1) * stride + 1 : stride,
-            ] += cols[:, :, u, v]
-    return out
-
-
 # -- convolution --------------------------------------------------------------
 #
-# Three array-level kernels hold all convolution numerics for a kernel of
-# shape (Cout, Cin, Kh, Kw): the forward, its adjoint (the input gradient)
-# and the weight gradient. conv2d records the forward, conv_transpose2d (its
-# adjoint) records the adjoint, and each op's backward runs the other two.
+# Three array-level kernels hold all convolution numerics for a square
+# kernel of shape (Cout, Cin, K, K): the forward, its adjoint (the input
+# gradient, itself one stride-1 call of the forward) and the weight gradient.
+# conv2d records the forward, conv_transpose2d (its adjoint) records the
+# adjoint, and each op's backward runs the other two.
 
 
 def _conv_forward(x, w, stride, padding, dilation, out_h, out_w):
     """Correlate x with w into (N, Cout, out_h, out_w); also returns the
-    (N, Cin*Kh*Kw, out_h*out_w) columns the weight gradient needs. A 1x1
+    (N, Cin*K*K, out_h*out_w) columns the weight gradient needs. A 1x1
     kernel at stride 1 without padding is a channel matmul with no gather."""
     n, cin, h, wd = x.shape
-    cout, _, kh, kw = w.shape
-    if kh == kw == 1 and stride == 1 and padding == 0:
+    cout, _, k, _ = w.shape
+    if k == 1 and stride == 1 and padding == 0:
         cols = x.reshape(n, cin, h * wd)
     else:
-        cols = _im2col(_pad(x, padding, padding), kh, kw, stride, dilation, out_h, out_w)
-        cols = cols.reshape(n, cin * kh * kw, out_h * out_w)
+        cols = _im2col(_pad(x, padding), k, stride, dilation, out_h, out_w)
+        cols = cols.reshape(n, cin * k * k, out_h * out_w)
     return np.matmul(w.reshape(cout, -1), cols).reshape(n, cout, out_h, out_w), cols
 
 
 def _conv_adjoint(g, w, stride, padding, dilation, h, wd):
     """Adjoint of _conv_forward: maps g (N, Cout, out_h, out_w) onto an
-    (N, Cin, h, wd) input.
-
-    The geometry picks the path. A 1x1 kernel at stride 1 without padding is
-    a channel matmul. Other stride-1 kernels correlate g, padded by
-    d*(K-1) - p, with the spatially flipped, channel-transposed kernel.
-    Strided kernels scatter the windows back with _col2im."""
-    n, cout, out_h, out_w = g.shape
-    _, cin, kh, kw = w.shape
-    if kh == kw == 1 and stride == 1 and padding == 0:
-        return np.matmul(w.reshape(cout, cin).T, g.reshape(n, cout, -1)).reshape(n, cin, h, wd)
-    if stride == 1:
-        gp = _pad(g, dilation * (kh - 1) - padding, dilation * (kw - 1) - padding)
-        g_cols = _im2col(gp, kh, kw, 1, dilation, h, wd).reshape(n, cout * kh * kw, h * wd)
-        w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        return np.matmul(w_flip.reshape(cin, -1), g_cols).reshape(n, cin, h, wd)
-    g_cols = np.matmul(w.reshape(cout, -1).T, g.reshape(n, cout, -1))
-    g_cols = g_cols.reshape(n, cin, kh, kw, out_h, out_w)
-    g_xp = _col2im(g_cols, (n, cin, h + 2 * padding, wd + 2 * padding), stride, dilation)
-    return g_xp[:, :, padding : padding + h, padding : padding + wd]
+    (N, Cin, h, wd) input. At stride s > 1, g's pixels are first spread s
+    apart over zeros; the result correlates at stride 1 with the spatially
+    flipped, channel-transposed kernel under padding d*(K-1) - p, which
+    crops when negative (Dumoulin & Visin 2016, arXiv:1603.07285, sec. 4)."""
+    span = dilation * (w.shape[2] - 1)
+    if stride > 1:
+        n, cout = g.shape[:2]
+        spread = np.zeros((n, cout, h + 2 * padding - span, wd + 2 * padding - span), g.dtype)
+        spread[:, :, ::stride, ::stride] = g
+        g = spread
+    w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    return _conv_forward(g, w_flip, 1, span - padding, dilation, h, wd)[0]
 
 
 def _conv_weight_grad(g, cols, w_shape):
@@ -284,6 +262,8 @@ def _check_conv(op, x, weight, bias, cker, cout, out_h, out_w, stride, padding):
     kernel's input and output channel counts."""
     _, cin, h, w = x.shape
     kh, kw = weight.shape[2:]
+    if kh != kw:
+        raise ShapeError(f"{op}: kernel {kh}x{kw} is not square")
     if cker != cin:
         raise ShapeError(f"{op}: input has {cin} channels but kernel expects {cker}")
     if out_h < 1 or out_w < 1:
@@ -311,7 +291,7 @@ def _record_conv(y, x, weight, bias, grads):
 def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
     """2-D convolution (cross-correlation) with zero padding.
 
-    weight is (Cout, Cin, Kh, Kw); bias, when given, is a (1, Cout, 1, 1)
+    weight is (Cout, Cin, K, K), a square kernel; bias, when given, is a (1, Cout, 1, 1)
     tensor. Output spatial size is floor((H + 2p - d*(K-1) - 1)/s) + 1.
     """
     if stride < 1 or padding < 0 or dilation < 1:
@@ -325,8 +305,8 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
     y, cols = _conv_forward(x.data, wd, stride, padding, dilation, out_h, out_w)
 
     def grads(g):
-        return (_conv_adjoint(g, wd, stride, padding, dilation, h, w),
-                _conv_weight_grad(g, cols, wd.shape))
+        g_x = _conv_adjoint(g, wd, stride, padding, dilation, h, w) if x.requires_grad else None
+        return g_x, _conv_weight_grad(g, cols, wd.shape)
 
     return _record_conv(y, x, weight, bias, grads)
 
@@ -335,7 +315,7 @@ def conv_transpose2d(x, weight, bias=None, stride=1, padding=0):
     """Transposed 2-D convolution: the adjoint of conv2d with the same
     geometry, so its input gradient is that conv2d's forward.
 
-    weight is (Cin, Cout, Kh, Kw); output spatial size is (H-1)*s - 2p + K.
+    weight is (Cin, Cout, K, K), a square kernel; output spatial size is (H-1)*s - 2p + K.
     """
     if stride < 1 or padding < 0:
         raise UsageError(f"conv_transpose2d: bad stride/padding ({stride}, {padding})")

@@ -53,6 +53,27 @@ def conv2d_input_grad_loops(g, w, x_shape, stride=1, padding=0, dilation=1):
     return gx
 
 
+def conv2d_weight_grad_loops(x, g, w_shape, stride=1, padding=0, dilation=1):
+    """Gradient of conv2d in its kernel: each tap collects the upstream
+    gradient times the input pixel it read, over every window."""
+    n, cin, h, wid = x.shape
+    cout, _, kh, kw = w_shape
+    out_h, out_w = g.shape[2:]
+    gw = np.zeros(w_shape, np.float64)
+    for ni in range(n):
+        for co in range(cout):
+            for i in range(out_h):
+                for j in range(out_w):
+                    for ci in range(cin):
+                        for u in range(kh):
+                            for v in range(kw):
+                                r = i * stride - padding + u * dilation
+                                c = j * stride - padding + v * dilation
+                                if 0 <= r < h and 0 <= c < wid:
+                                    gw[co, ci, u, v] += float(g[ni, co, i, j]) * float(x[ni, ci, r, c])
+    return gw
+
+
 def conv_transpose2d_loops(x, w, b=None, stride=1, padding=0):
     """Scatter-accumulate transposed convolution over the definition."""
     n, cin, h, wid = x.shape

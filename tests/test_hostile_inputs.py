@@ -4,13 +4,17 @@ exception."""
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import tempfile
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gmsrfnet
 from gmsrfnet.cli import _apply_threads
 from gmsrfnet.data import (
     CenterSpec,
@@ -23,6 +27,7 @@ from gmsrfnet.data import (
 )
 from gmsrfnet.errors import ConfigError, CorruptionError, FormatError
 from gmsrfnet.network import (
+    CHECKPOINT_MAGIC,
     ModelConfig,
     SegmentationModel,
     build_model,
@@ -206,6 +211,28 @@ class TestCheckpointHeader:
                 f.write(replace_header(header)(micro_checkpoint))
             value_or_error(load_checkpoint, path, SegmentationModel,
                            (FormatError, CorruptionError))
+
+    def test_oversized_config_refused_before_allocation(self, tmp_path):
+        # a valid one-tensor file whose config asks for ~61M float32 values
+        header = json.dumps({"config": {"encoder_widths": [512] * 4, "rfb_channels": 512},
+                             "tensors": {"w": {"shape": [1], "offset": 0}}}).encode()
+        payload = bytes(4)
+        path = tmp_path / "big.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + len(header).to_bytes(4, "little") + header + payload
+                         + zlib.crc32(payload).to_bytes(4, "little"))
+        script = ("import resource, sys\n"
+                  "from gmsrfnet.errors import FormatError\n"
+                  "from gmsrfnet.network import load_checkpoint\n"
+                  "try:\n"
+                  "    load_checkpoint(sys.argv[1])\n"
+                  "except FormatError:\n"
+                  "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)\n")
+        src = os.path.dirname(os.path.dirname(gmsrfnet.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip(), "load_checkpoint did not raise FormatError"
+        assert int(out) < 200, f"peak RSS {out.strip()} MB"
 
 
 PNM_HEADERS = st.builds(

@@ -81,11 +81,13 @@ class TestConv2d:
         ((3, 3), 1, 1, 1, 6),   # stride-1 gather
         ((3, 3), 1, 3, 3, 7),
         ((3, 3), 1, 5, 5, 7),
-        ((3, 3), 2, 1, 1, 7),   # strided scatter, odd input
+        ((3, 3), 2, 1, 1, 7),   # zeros spread between the gradient's pixels, odd input
         ((1, 1), 2, 0, 1, 7),
         ((3, 3), 1, 3, 1, 5),   # padding beyond d*(K-1): the gradient is cropped
-        ((1, 3), 1, 1, 1, 6),   # rows cropped, columns padded
+        ((4, 4), 2, 1, 1, 8),   # the decoder's transposed-conv geometry
         ((1, 1), 1, 0, 1, 1),   # squeeze-excitation projection on a pooled map
+        ((3, 3), 2, 2, 2, 9),   # stride with dilation
+        ((3, 3), 3, 1, 1, 8),   # rows left over after the last window
     ])
     def test_input_gradient_matches_loop_adjoint(self, kernel, stride, padding, dilation, size):
         rng = np.random.default_rng(sum(kernel) + 10 * stride + 100 * padding + 1000 * dilation)
@@ -97,9 +99,30 @@ class TestConv2d:
         expected = reference.conv2d_input_grad_loops(g, w.data, x.shape, stride, padding, dilation)
         np.testing.assert_allclose(x.grad, expected, rtol=1e-12, atol=1e-12)
 
+    def test_input_without_grad_runs_no_adjoint(self, monkeypatch):
+        calls = []
+        adjoint = T._conv_adjoint
+        monkeypatch.setattr(T, "_conv_adjoint", lambda *a: calls.append(a) or adjoint(*a))
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(2, 3, 7, 7)), dtype=np.float64)
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True, dtype=np.float64)
+        y = T.conv2d(x, w, stride=2, padding=1)
+        g = rng.normal(size=y.shape)
+        backward(T.reduce_sum(T.mul(y, Tensor(g))))
+        assert calls == [] and x.grad is None
+        expected = reference.conv2d_weight_grad_loops(x.data, g, w.shape, 2, 1)
+        np.testing.assert_allclose(w.grad, expected, rtol=1e-12, atol=1e-12)
+
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
             T.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
+
+    def test_non_square_kernel_raises(self):
+        x = Tensor(np.zeros((1, 1, 6, 6)))
+        with pytest.raises(ShapeError, match="not square"):
+            T.conv2d(x, Tensor(np.zeros((1, 1, 1, 3))))
+        with pytest.raises(ShapeError, match="not square"):
+            T.conv_transpose2d(x, Tensor(np.zeros((1, 1, 1, 3))))
 
     def test_non_positive_output_raises(self):
         with pytest.raises(ShapeError):
