@@ -166,15 +166,13 @@ class BatchNorm2d(Layer):
 
     _buffers = ("running_mean", "running_var", "num_updates")
 
-    def __init__(self, channels, eps=1e-5, momentum=0.1):
+    def __init__(self, channels):
         super().__init__()
         self.gamma = vector(np.ones(channels), requires_grad=True)
         self.beta = vector(np.zeros(channels), requires_grad=True)
         self.running_mean = np.zeros((1, channels, 1, 1), DEFAULT_DTYPE)
         self.running_var = np.ones((1, channels, 1, 1), DEFAULT_DTYPE)
         self.num_updates = np.zeros((1, 1, 1, 1), DEFAULT_DTYPE)
-        self.eps = eps
-        self.momentum = momentum
 
 
 class ConvBlock(Layer):
@@ -207,8 +205,7 @@ class ConvBlock(Layer):
         bn = self.bn
         if bn is None:
             return activation(y, self.act)
-        return batch_norm(y, bn.gamma, bn.beta, bn, bn.training, bn.eps, bn.momentum,
-                          self.act)
+        return batch_norm(y, bn.gamma, bn.beta, bn, bn.training, act=self.act)
 
 
 class SqueezeExcite(Layer):
@@ -234,15 +231,13 @@ class Resampler(Layer):
 
     Down stages are 3x3/s2 conv blocks, up stages 4x4/s2 transposed conv
     blocks; each changes spatial size by exactly 2x and channels are
-    preserved end to end. from == to is a pass-through.
+    preserved end to end. from == to has no stages and passes x through.
     """
 
     def __init__(self, rng, channels, from_scale, to_scale):
         super().__init__()
         if not (1 <= from_scale <= 4 and 1 <= to_scale <= 4):
             raise UsageError(f"resampler scales must be in 1..4, got {from_scale}->{to_scale}")
-        self.from_scale = from_scale
-        self.to_scale = to_scale
         self.down = to_scale > from_scale
         kernel = 3 if self.down else 4
         self.stages = [
@@ -251,8 +246,6 @@ class Resampler(Layer):
         ]
 
     def forward(self, x):
-        if self.from_scale == self.to_scale:
-            return x
         for stage in self.stages:
             if self.down and (x.shape[2] % 2 or x.shape[3] % 2):
                 raise ShapeError(
@@ -275,7 +268,6 @@ class RfbBlock(Layer):
             raise UsageError(f"rfb: out_channels must be >= 1, got {cout}")
         quarter = cout // 4
         first = cout - 3 * quarter
-        self.branch_widths = (first, quarter, quarter, quarter)
         self.branch0 = ConvBlock(rng, cin, first, 1)
         self.branch1 = ConvBlock(rng, cin, quarter, 3, padding=1, dilation=1) if quarter else None
         self.branch2 = ConvBlock(rng, cin, quarter, 3, padding=3, dilation=3) if quarter else None

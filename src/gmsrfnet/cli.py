@@ -45,10 +45,9 @@ def generate_data_cmd(spec_path, n, out_dir, size, split_ratios, split_seed):
         spec = CenterSpec.from_dict(read_json(spec_path))
     else:
         spec = CenterSpec()
-    ratios = tuple(float(r) for r in split_ratios.split(","))
     dataset = generate_center(spec, n, size)
     position = {s.id: i for i, s in enumerate(dataset)}
-    parts = split_dataset(dataset, ratios, split_seed)
+    parts = split_dataset(dataset, split_ratios.split(","), split_seed)
     dataset.samples = sorted((s for part in parts for s in part), key=lambda s: position[s.id])
     save_dataset(dataset, out_dir)
     click.echo(f"wrote {len(dataset)} samples to {out_dir}")

@@ -198,13 +198,20 @@ def generate_center(spec, n, size=64):
 
 def split_dataset(dataset, ratios=(0.8, 0.1, 0.1), seed=0):
     """Deterministic shuffled train/val/test split; rounded val/test sizes,
-    remainder to train. Each part holds split-tagged copies of the samples
-    in dataset order; the input dataset is left as it was."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"split ratios must sum to 1, got {ratios}")
+    remainder to train. ``ratios`` must be three fractions in [0, 1] that
+    sum to 1, given as numbers or as strings of numbers. Each part holds
+    split-tagged copies of the samples in dataset order; the input dataset
+    is left as it was."""
+    try:
+        fractions = [float(r) for r in ratios]
+    except (TypeError, ValueError):
+        fractions = []
+    if (len(fractions) != 3 or not all(0.0 <= f <= 1.0 for f in fractions)
+            or abs(sum(fractions) - 1.0) > 1e-9):
+        raise ConfigError(f"split ratios must be three fractions in [0, 1] summing to 1, got {ratios!r}")
     n = len(dataset)
-    n_val = int(n * ratios[1] + 0.5)
-    n_test = int(n * ratios[2] + 0.5)
+    n_val = int(n * fractions[1] + 0.5)
+    n_test = int(n * fractions[2] + 0.5)
     n_train = n - n_val - n_test
     if n_train < 0:
         raise ConfigError(f"ratios {ratios} leave no training data for n={n}")
@@ -440,7 +447,8 @@ def load_folder(folder, input_size=64):
     """Load paired images/*.ppm and masks/*.pgm, resized to input_size.
 
     A dataset.json manifest, when present, restores center ids and split
-    tags. Any unpaired stem is an error naming that stem.
+    tags. Any unpaired stem is an error naming that stem, and an image that
+    is not P6 or a mask that is not P5 a FormatError naming the file.
     """
     img_dir = os.path.join(folder, "images")
     mask_dir = os.path.join(folder, "masks")
@@ -462,8 +470,13 @@ def load_folder(folder, input_size=64):
 
     ds = Dataset(center_id=center_id, spec=spec)
     for stem in sorted(images):
-        image = read_pnm(os.path.join(img_dir, images[stem]))
-        mask = read_pnm(os.path.join(mask_dir, masks[stem]))
+        image_path = os.path.join(img_dir, images[stem])
+        mask_path = os.path.join(mask_dir, masks[stem])
+        image, mask = read_pnm(image_path), read_pnm(mask_path)
+        if image.shape[0] != 3:
+            raise FormatError(f"{image_path}: an image must be a P6 (color) file")
+        if mask.shape[0] != 1:
+            raise FormatError(f"{mask_path}: a mask must be a P5 (gray) file")
         if image.shape[1:] != (input_size, input_size):
             image = resize_image(image, input_size, input_size)
         if mask.shape[1:] != (input_size, input_size):

@@ -26,9 +26,8 @@ class CrossScaleAttention(Layer):
 
     def __init__(self, rng, growth, target_scale):
         super().__init__()
-        self.target_scale = target_scale
-        self.sources = tuple(s for s in SCALES if s != target_scale)
-        self.resamplers = [Resampler(rng, growth, src, target_scale) for src in self.sources]
+        self.resamplers = [Resampler(rng, growth, src, target_scale)
+                           for src in SCALES if src != target_scale]
         self.fuse = ConvBlock(rng, 3 * growth, growth, 3, padding=1)
         self.gate = ConvBlock(rng, growth, growth, 1, act="sigmoid", norm=False)
 
@@ -42,19 +41,10 @@ class CrossScaleAttention(Layer):
         return self.gate(self.fuse(concat_channels(resampled)))
 
 
-def apply_attention(x, att):
-    if x.shape != att.shape:
-        raise ShapeError(f"attention shape {att.shape} does not match features {x.shape}")
-    return mul(x, att)
-
-
 class GmsrfModule(Layer):
     """One fusion module over a 4-scale bundle; output shapes equal input
-    shapes, so modules stack without adaptation.
-
-    ``fusion_conv_count`` / ``attention_map_count`` and
-    ``fusion_input_channels`` are refreshed on every forward pass for
-    instrumentation.
+    shapes, so modules stack without adaptation. The fusion conv of layer l
+    takes the dense width C0 + (l-1)k + 3k, which its weight records.
     """
 
     def __init__(self, rng, channels, growth, num_layers=3, se_reduction=4):
@@ -64,7 +54,6 @@ class GmsrfModule(Layer):
         if growth < 1:
             raise UsageError(f"growth factor must be >= 1, got {growth}")
         self.channels = channels
-        self.growth = growth
         self.num_layers = num_layers
 
         self.initial = [ConvBlock(rng, channels, growth, 3, padding=1) for _ in SCALES]
@@ -81,10 +70,6 @@ class GmsrfModule(Layer):
         fused_width = channels + num_layers * growth
         self.select = [SqueezeExcite(rng, fused_width, se_reduction) for _ in SCALES]
         self.transition = [ConvBlock(rng, fused_width, channels, 1) for _ in SCALES]
-
-        self.fusion_conv_count = 0
-        self.attention_map_count = 0
-        self.fusion_input_channels = {}
 
     def _validate(self, bundle):
         if len(bundle) != 4:
@@ -106,10 +91,6 @@ class GmsrfModule(Layer):
 
     def forward(self, bundle):
         self._validate(bundle)
-        self.fusion_conv_count = 0
-        self.attention_map_count = 0
-        self.fusion_input_channels = {}
-
         histories = [[x] for x in bundle]
         for i in range(4):
             histories[i].append(self.initial[i](bundle[i]))
@@ -121,12 +102,8 @@ class GmsrfModule(Layer):
                 att_block = self.attention[i][l - 2]
                 resampled = att_block.resample([prev[j] for j in range(4) if j != i])
                 att = att_block(resampled)
-                self.attention_map_count += 1
-                fused_in = concat_channels(histories[i] + resampled)
-                self.fusion_input_channels[(i + 1, l)] = fused_in.shape[1]
-                x = self.fusion[i][l - 2](fused_in)
-                self.fusion_conv_count += 1
-                new.append(apply_attention(x, att))
+                x = self.fusion[i][l - 2](concat_channels(histories[i] + resampled))
+                new.append(mul(x, att))
             for i in range(4):
                 histories[i].append(new[i])
 

@@ -83,10 +83,6 @@ class ConfusionCounts:
     fn: int
     tn: int
 
-    @property
-    def total(self):
-        return self.tp + self.fp + self.fn + self.tn
-
 
 class Metrics(NamedTuple):
     dsc: float

@@ -4,6 +4,7 @@ deep-supervision heads. Also the binary checkpoint format."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -50,10 +51,6 @@ class ModelConfig:
                 raise ConfigError(f"{field} must be >= 1, got {getattr(self, field)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-
-    def scale_size(self, scale):
-        """Spatial size of stream `scale`; scale i sits at stride 2^(i+1)."""
-        return self.input_size // (2 ** (scale + 1))
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -175,14 +172,20 @@ def build_model(config):
 #         | payload (raw little-endian float32 in index order: the arena's
 #           params block, then its buffers block)
 #         | uint32 LE CRC-32 of the payload
-# header: {"config": {...}, "tensors": {name: {"shape": [...], "offset": n}}}
-#         where each offset is the byte sum of the tensors before it
+# header: {"config": {...}, "tensors": _index(names, shapes)}
+
+
+def _index(names, shapes):
+    """The header's tensor index: each tensor's shape and the byte sum of the
+    tensors before it, in payload order."""
+    offsets = itertools.accumulate((4 * math.prod(shape) for shape in shapes), initial=0)
+    return {name: {"shape": list(shape), "offset": offset}
+            for name, shape, offset in zip(names, shapes, offsets)}
 
 
 def save_checkpoint(model, path):
     arena = model.arena
-    index = {name: {"shape": list(shape), "offset": 4 * offset}
-             for name, shape, offset in zip(arena.names, arena.shapes, arena.offsets)}
+    index = _index(arena.names, arena.shapes)
     payload = b"".join(np.ascontiguousarray(a, "<f4").tobytes() for a in (arena.params, arena.buffers))
     header = json.dumps({"config": model.config.to_dict(), "tensors": index}).encode()
 
@@ -204,35 +207,16 @@ def save_checkpoint(model, path):
         raise
 
 
-def _payload_length(index):
-    """Validate the header's tensor index and return the payload byte count.
-
-    The header sits outside the CRC, so every entry must be a non-negative
-    integer shape stored at exactly the offset its predecessors imply."""
-    if not isinstance(index, dict):
-        raise FormatError(f"checkpoint tensor index must be an object, got {type(index).__name__}")
-    offset = 0
-    for name, entry in index.items():
-        shape = entry.get("shape") if isinstance(entry, dict) else None
-        if (not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape)
-                or type(entry.get("offset")) is not int):
-            raise FormatError(f"checkpoint entry for tensor {name!r} is malformed: {entry!r}")
-        if entry["offset"] != offset:
-            raise FormatError(f"tensor {name} stored at offset {entry['offset']}, expected {offset}")
-        offset += 4 * math.prod(shape)
-    return offset
-
-
 # init RNG of a model whose every value the checkpoint overwrites: no draws
 _NO_DRAWS = types.SimpleNamespace(normal=lambda loc, scale, size: np.zeros(size, np.float32))
 
 
 def load_checkpoint(path):
-    """Rebuild a model from a checkpoint file; verifies magic, CRC, and the
-    agreement between the stored config and every stored tensor name (in
-    order), shape and offset, the last before the model's arena is
-    allocated. The payload's parameter block and buffer block are each
-    copied into the arena in one step."""
+    """Rebuild a model from a checkpoint file. The header's tensor index must
+    equal the index of the stored config's model, and the payload must be
+    that long and match its CRC, all before the model's arena is allocated:
+    header values are only compared, never used to size or slice. The params
+    and buffers blocks are each copied into the arena in one step."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -250,28 +234,21 @@ def load_checkpoint(path):
         index = header["tensors"]
     except (ValueError, RecursionError, KeyError, TypeError, ConfigError) as e:
         raise FormatError(f"unreadable checkpoint header: {e}") from e
-    pos += header_len
-
-    payload_len = _payload_length(index)
-    end = pos + payload_len + 4
-    if len(blob) < end:
-        raise CorruptionError("checkpoint truncated in payload")
-    if len(blob) > end:
-        raise CorruptionError(f"{len(blob) - end} trailing bytes after the checkpoint CRC")
-    payload = memoryview(blob)[pos : pos + payload_len]
-    stored_crc = int.from_bytes(blob[end - 4 : end], "little")
-    if (zlib.crc32(payload) & 0xFFFFFFFF) != stored_crc:
-        raise CorruptionError("checkpoint payload CRC mismatch")
+    payload = memoryview(blob)[pos + header_len : -4]
 
     def check(names, shapes):
-        if list(index) != names:
-            raise FormatError("checkpoint tensor index does not list the config's tensors in order")
-        for name, entry, shape in zip(names, index.values(), shapes):
-            if tuple(entry["shape"]) != shape:
-                raise FormatError(f"tensor {name} has shape {tuple(entry['shape'])}, config implies {shape}")
+        if index != _index(names, shapes):
+            raise FormatError("checkpoint tensor index does not match the config's tensors")
+        extra = len(payload) - 4 * sum(math.prod(shape) for shape in shapes)
+        if extra < 0:
+            raise CorruptionError("checkpoint truncated in payload")
+        if extra > 0:
+            raise CorruptionError(f"{extra} trailing bytes after the checkpoint CRC")
+        if zlib.crc32(payload) != int.from_bytes(blob[-4:], "little"):
+            raise CorruptionError("checkpoint payload CRC mismatch")
 
     # the model's init arrays are _NO_DRAWS zeros whose pages nothing touches;
-    # the arena, which writes every byte, is only allocated once the index fits
+    # the arena, which writes every byte, is only allocated once check passes
     model = SegmentationModel(config, rng=_NO_DRAWS)
     model._arena = arena = Arena(model, check)
     count = arena.params.size

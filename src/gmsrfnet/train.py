@@ -100,11 +100,6 @@ def _prepare_samples(samples, indices, cfg, epoch, policy):
     return [prep(i) for i in indices]
 
 
-def _mean_dsc(model, dataset, batch_size=8):
-    report = evaluate_model(model, dataset, label="val", batch_size=batch_size)
-    return report.means["dsc"]
-
-
 def train(cfg, train_set, val_set=None, out_path=None, log_path=None):
     """Run the training loop; returns the model, per-epoch log rows, and the
     raw per-step loss trace.
@@ -154,7 +149,7 @@ def train(cfg, train_set, val_set=None, out_path=None, log_path=None):
                     break
             row = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses))}
             if val_set is not None and len(val_set):
-                val_dsc = _mean_dsc(model, val_set, cfg.batch_size)
+                val_dsc = evaluate_model(model, val_set, "val", batch_size=cfg.batch_size).means["dsc"]
                 row["val_dsc"] = val_dsc
                 if best_path and val_dsc > best_dsc:
                     best_dsc = val_dsc

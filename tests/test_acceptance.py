@@ -6,6 +6,7 @@ criterion's output for the measured values and the head-capacity floor that
 governs it.
 """
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,10 +77,11 @@ class TestAcceptance:
                 Tensor(rng.normal(size=(1, c0, 8 >> i, 8 >> i)).astype(np.float32))
                 for i in range(4)
             )
-            module(bundle)
-            for (_, l), width in module.fusion_input_channels.items():
-                assert width == c0 + (l - 1) * k + 3 * k
-                checked += 1
+            module(bundle)  # a fusion conv raises ShapeError on any other input width
+            for per_scale in module.fusion:
+                for l, block in enumerate(per_scale, start=2):
+                    assert block.weight.shape[1] == c0 + (l - 1) * k + 3 * k
+                    checked += 1
         report_line("channel-arithmetic oracle (50 random configs, exact)", True,
                     f"{checked} fusion widths verified")
 
@@ -242,7 +244,7 @@ class TestAcceptance:
         for run in ("one", "two"):
             out = str(tmp_path / f"{run}.ckpt")
             train(TrainConfig(**cfg_kwargs), ds, None, out)
-            blobs.append(open(out, "rb").read())
+            blobs.append(Path(out).read_bytes())
         ok = blobs[0] == blobs[1]
         report_line("determinism: 10-step runs byte-identical", ok,
                     f"{len(blobs[0])} bytes each")

@@ -73,6 +73,16 @@ class TestGenerateData:
         assert not (tmp_path / "d").exists()
 
 
+    @pytest.mark.parametrize("ratios", ["0.5,0.5", "a,b,c", "1.5,-0.25,-0.25", "nan,0.5,0.5", ""])
+    def test_bad_split_ratios_are_a_config_error(self, runner, tmp_path, ratios):
+        result = runner.invoke(main, [
+            "generate-data", "--n", "4", "--size", "16", "--out", str(tmp_path / "d"),
+            "--split-ratios", ratios,
+        ])
+        assert isinstance(result.exception, ConfigError), result.exception
+        assert not (tmp_path / "d").exists()
+
+
 class TestTrainEvalPredict:
     def test_full_pipeline(self, workspace, runner, tmp_path):
         base, data_dir, cfg_path = workspace

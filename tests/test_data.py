@@ -108,6 +108,21 @@ class TestSplit:
         with pytest.raises(ConfigError):
             split_dataset(self._dataset(10), ratios=(0.5, 0.2, 0.2))
 
+    @pytest.mark.parametrize("ratios", [
+        (0.5, 0.5), (0.5, 0.25, 0.25, 0.0), (), ("a", "b", "c"), 0.5, None,
+        (1.5, -0.25, -0.25), (-0.0001, 0.5, 0.5001), (float("nan"), 0.5, 0.5),
+        (float("inf"), 0.0, 0.0), (1.0, float("-inf"), float("inf")),
+    ])
+    def test_ratios_must_be_three_fractions_summing_to_one(self, ratios):
+        with pytest.raises(ConfigError):
+            split_dataset(self._dataset(10), ratios=ratios)
+
+    def test_zero_fractions_and_numeric_strings_accepted(self):
+        parts = split_dataset(self._dataset(10), ratios=("0.5", "0", "0.5"), seed=3)
+        assert [len(p) for p in parts] == [5, 0, 5]
+        assert [p.ids() for p in parts] == [
+            p.ids() for p in split_dataset(self._dataset(10), ratios=(0.5, 0.0, 0.5), seed=3)]
+
     def test_split_tags_assigned(self):
         train, val, test = split_dataset(self._dataset(20), seed=2)
         assert all(s.split == "train" for s in train)
@@ -283,6 +298,20 @@ class TestFolderIo:
             assert s.image.shape == (3, 32, 32)
             assert s.mask.shape == (1, 32, 32)
             assert set(np.unique(s.mask)) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("folder,wrong_kind,kind", [
+        pytest.param("images", lambda s: s.image[:1], "P6", id="p5-image"),
+        pytest.param("masks", lambda s: np.repeat(s.mask, 3, 0), "P5", id="p6-mask"),
+    ])
+    def test_wrong_pnm_kind_named_in_error(self, tmp_path, folder, wrong_kind, kind):
+        # a P5 image or a P6 mask would fail later as a numpy stacking error
+        ds = generate_center(default_center_a(), 3, 32)
+        save_dataset(ds, tmp_path)
+        suffix = ".ppm" if folder == "images" else ".pgm"
+        victim = tmp_path / folder / f"{ds[1].id}{suffix}"
+        write_pnm(wrong_kind(ds[1]), victim)
+        with pytest.raises(FormatError, match=f"{ds[1].id}{suffix}.*{kind}"):
+            load_folder(tmp_path, input_size=32)
 
     def test_missing_layout_rejected(self, tmp_path):
         with pytest.raises(DataError):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gmsrfnet import tensor as T
 from gmsrfnet.errors import ShapeError
-from gmsrfnet.gmsrf import SCALES, CrossScaleAttention, GmsrfModule, apply_attention
+from gmsrfnet.gmsrf import SCALES, CrossScaleAttention, GmsrfModule
 from gmsrfnet.tensor import Tensor, max_grad_error
 
 
@@ -74,7 +74,6 @@ class TestFusionLayer:
         module = GmsrfModule(rng, channels=c0, growth=k, num_layers=2)
         module(make_bundle(rng, c0, base=8))
         for s in SCALES:
-            assert module.fusion_input_channels[(s, 2)] == 64
             assert module.fusion[s - 1][0].weight.shape[1] == 64
         y = module.fusion[0][0](Tensor(rng.normal(size=(1, 64, 8, 8)).astype(np.float32)))
         assert y.shape == (1, k, 8, 8)
@@ -100,24 +99,25 @@ class TestInitialLayer:
 
 
 class TestApplyAttention:
+    # the module gates each fusion output by T.mul with its attention map
     def test_ones_identity(self, rng):
         x = Tensor(rng.normal(size=(1, 4, 6, 6)).astype(np.float32))
         ones = Tensor(np.ones_like(x.data))
-        np.testing.assert_array_equal(apply_attention(x, ones).data, x.data)
+        np.testing.assert_array_equal(T.mul(x, ones).data, x.data)
 
     def test_zeros_blank(self, rng):
         x = Tensor(rng.normal(size=(1, 4, 6, 6)).astype(np.float32))
         zeros = Tensor(np.zeros_like(x.data))
-        assert np.all(apply_attention(x, zeros).data == 0)
+        assert np.all(T.mul(x, zeros).data == 0)
 
     def test_half_halves(self, rng):
         x = Tensor(rng.normal(size=(1, 4, 6, 6)).astype(np.float32))
         half = Tensor(np.full_like(x.data, 0.5))
-        np.testing.assert_allclose(apply_attention(x, half).data, x.data / 2)
+        np.testing.assert_allclose(T.mul(x, half).data, x.data / 2)
 
     def test_shape_mismatch_raises(self, rng):
         with pytest.raises(ShapeError):
-            apply_attention(Tensor(np.zeros((1, 4, 6, 6))), Tensor(np.zeros((1, 4, 3, 3))))
+            T.mul(Tensor(np.zeros((1, 4, 6, 6))), Tensor(np.zeros((1, 4, 3, 3))))
 
 
 class TestModuleForward:
@@ -131,8 +131,8 @@ class TestModuleForward:
     def test_degenerate_single_layer(self, rng):
         module = GmsrfModule(rng, channels=8, growth=4, num_layers=1)
         out = module(make_bundle(rng, 8))
-        assert module.fusion_conv_count == 0
-        assert module.attention_map_count == 0
+        assert sum(map(len, module.fusion)) == 0
+        assert sum(map(len, module.attention)) == 0
         # selection runs over C0 + k channels
         assert module.select[0].w1.shape[1] == 8 + 4
         assert out[0].shape[1] == 8
@@ -147,8 +147,8 @@ class TestModuleForward:
         for layers in (1, 2, 3, 4):
             module = GmsrfModule(rng, channels=4, growth=2, num_layers=layers)
             module(make_bundle(rng, 4, base=8))
-            assert module.fusion_conv_count == 4 * (layers - 1)
-            assert module.attention_map_count == 4 * (layers - 1)
+            assert sum(map(len, module.fusion)) == 4 * (layers - 1)
+            assert sum(map(len, module.attention)) == 4 * (layers - 1)
 
     def test_msfs_channel_arithmetic(self, rng):
         module = GmsrfModule(rng, channels=32, growth=8, num_layers=3)
@@ -213,10 +213,7 @@ class TestChannelLaw:
     def test_fusion_width_formula(self, c0, k, layers):
         rng = np.random.default_rng(c0 * 100 + k * 10 + layers)
         module = GmsrfModule(rng, channels=c0, growth=k, num_layers=layers)
-        module(make_bundle(rng, c0, base=8))
-        for (scale, l), width in module.fusion_input_channels.items():
-            assert width == c0 + (l - 1) * k + 3 * k
-        # and the conv weights agree with the law
+        module(make_bundle(rng, c0, base=8))  # runs only if every width fits
         for per_scale in module.fusion:
             for idx, conv in enumerate(per_scale):
                 l = idx + 2

@@ -25,13 +25,16 @@ from gmsrfnet.data import (
     read_pnm,
     save_dataset,
 )
+from gmsrfnet.blocks import Arena
 from gmsrfnet.errors import ConfigError, CorruptionError, FormatError
 from gmsrfnet.network import (
+    _NO_DRAWS,
     CHECKPOINT_MAGIC,
     ModelConfig,
     SegmentationModel,
     build_model,
     load_checkpoint,
+    _index,
     save_checkpoint,
 )
 from gmsrfnet.train import TrainConfig
@@ -200,6 +203,50 @@ CHECKPOINT_HEADERS = (
 )
 
 
+BIG = ModelConfig(encoder_widths=(512,) * 4, rfb_channels=512)
+
+
+def write_checkpoint(path, config, index, payload):
+    header = json.dumps({"config": config, "tensors": index}).encode()
+    path.write_bytes(CHECKPOINT_MAGIC + len(header).to_bytes(4, "little") + header + payload
+                     + zlib.crc32(payload).to_bytes(4, "little"))
+    return path
+
+
+def index_of(config):
+    """The tensor index of a ``config`` checkpoint, read off the layer walk
+    of a model built without init draws; no state is allocated."""
+    class Walked(Exception):
+        pass
+
+    def stop(names, shapes):
+        raise Walked(_index(names, shapes))
+
+    with pytest.raises(Walked) as walked:
+        Arena(SegmentationModel(config, rng=_NO_DRAWS), stop)
+    return walked.value.args[0]
+
+
+def peak_rss_mb_of_failed_load(path, error):
+    """Peak RSS in MB of a fresh process whose ``load_checkpoint(path)``
+    raised ``error``. It is read from VmHWM: ``ru_maxrss`` would also count
+    the peak of this test process, which the child inherits across exec."""
+    script = ("import sys\n"
+              f"from gmsrfnet.errors import {error}\n"
+              "from gmsrfnet.network import load_checkpoint\n"
+              "try:\n"
+              "    load_checkpoint(sys.argv[1])\n"
+              f"except {error}:\n"
+              "    with open('/proc/self/status') as f:\n"
+              "        print(int(f.read().split('VmHWM:')[1].split()[0]) // 1024)\n")
+    src = os.path.dirname(os.path.dirname(gmsrfnet.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip(), f"load_checkpoint did not raise {error}"
+    return int(out)
+
+
 class TestCheckpointHeader:
     @SETTINGS
     @given(CHECKPOINT_HEADERS)
@@ -214,25 +261,14 @@ class TestCheckpointHeader:
 
     def test_oversized_config_refused_before_allocation(self, tmp_path):
         # a valid one-tensor file whose config asks for ~61M float32 values
-        header = json.dumps({"config": {"encoder_widths": [512] * 4, "rfb_channels": 512},
-                             "tensors": {"w": {"shape": [1], "offset": 0}}}).encode()
-        payload = bytes(4)
-        path = tmp_path / "big.ckpt"
-        path.write_bytes(CHECKPOINT_MAGIC + len(header).to_bytes(4, "little") + header + payload
-                         + zlib.crc32(payload).to_bytes(4, "little"))
-        script = ("import resource, sys\n"
-                  "from gmsrfnet.errors import FormatError\n"
-                  "from gmsrfnet.network import load_checkpoint\n"
-                  "try:\n"
-                  "    load_checkpoint(sys.argv[1])\n"
-                  "except FormatError:\n"
-                  "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)\n")
-        src = os.path.dirname(os.path.dirname(gmsrfnet.__file__))
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-        out = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
-                             capture_output=True, text=True, check=True).stdout
-        assert out.strip(), "load_checkpoint did not raise FormatError"
-        assert int(out) < 200, f"peak RSS {out.strip()} MB"
+        path = write_checkpoint(tmp_path / "big.ckpt", BIG.to_dict(),
+                                {"w": {"shape": [1], "offset": 0}}, bytes(4))
+        assert peak_rss_mb_of_failed_load(path, "FormatError") < 200
+
+    def test_short_payload_refused_before_allocation(self, tmp_path):
+        # the index is the one a ~61M-value model writes; the payload holds 4 bytes
+        path = write_checkpoint(tmp_path / "big.ckpt", BIG.to_dict(), index_of(BIG), bytes(4))
+        assert peak_rss_mb_of_failed_load(path, "CorruptionError") < 200
 
 
 PNM_HEADERS = st.builds(

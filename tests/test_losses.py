@@ -146,7 +146,7 @@ class TestConfusion:
     def test_counts_sum_to_pixels(self):
         rng = np.random.default_rng(10)
         c = confusion(rng.uniform(size=(1, 1, 8, 8)), rng.uniform(size=(1, 1, 8, 8)))
-        assert c.total == 64
+        assert c.tp + c.fp + c.fn + c.tn == 64
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_masks_match_loop_oracle(self, seed):

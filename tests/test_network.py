@@ -83,12 +83,6 @@ class TestModelConfig:
         cfg = ModelConfig.from_dict(SMALL.to_dict())
         assert cfg == SMALL
 
-    def test_scale_size_law(self):
-        for size in (32, 64, 128):
-            cfg = ModelConfig(input_size=size)
-            for scale in (1, 2, 3, 4):
-                assert cfg.scale_size(scale) == size // 2 ** (scale + 1)
-
 
 class TestEncoder:
     def test_bundle_shapes_default(self):
@@ -326,6 +320,8 @@ MALFORMED_CHECKPOINTS = [
     pytest.param(add_stale_conv_bias, FormatError, id="stale-conv-bias"),
     pytest.param(replace_header(b"[" * 100_000 + b"]" * 100_000), FormatError,
                  id="deeply-nested-header"),
+    pytest.param(edit_header(lambda h: entry(h, 0).update(dtype="<f4")), FormatError,
+                 id="entry-extra-key"),
 ]
 
 
@@ -416,6 +412,20 @@ class TestCheckpoint:
         header_len = int.from_bytes(blob[6:10], "little")
         payload = blob[10 + header_len : -4]
         assert int.from_bytes(blob[-4:], "little") == zlib.crc32(payload) & 0xFFFFFFFF
+
+    def test_equal_valued_index_loads(self, tmp_path):
+        # the index is compared by value with the one the config implies
+        def edit(h):
+            entry(h, 0).update(offset=0.0)
+            entry(h, -1).update(shape=[True, 1.0, 1, 1])  # a num_updates buffer
+
+        path = tmp_path / "m.ckpt"
+        model = build_model(MICRO)
+        save_checkpoint(model, path)
+        path.write_bytes(edit_header(edit)(path.read_bytes()))
+        loaded = load_checkpoint(path)
+        assert np.array_equal(loaded.arena.params, model.arena.params)
+        assert np.array_equal(loaded.arena.buffers, model.arena.buffers)
 
     @pytest.mark.parametrize("corrupt,error", MALFORMED_CHECKPOINTS)
     def test_malformed_layout_rejected(self, tmp_path, corrupt, error):

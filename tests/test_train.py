@@ -1,6 +1,7 @@
 """Training loop, evaluation, prediction, and the generalization report."""
 import hashlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,7 +140,7 @@ class TestTrainLoop:
             out = str(tmp_path / f"t{threads}.ckpt")
             train(tiny_config(epochs=2, augment=True, threads=threads),
                   train_set, None, out)
-            blobs.append(open(out, "rb").read())
+            blobs.append(Path(out).read_bytes())
         assert blobs[0] == blobs[1]
 
 
@@ -205,7 +206,7 @@ class TestPredict:
         predict(out, img_path, mask_path)
         mask = read_pnm(mask_path)
         assert mask.shape == (1, 48, 48)
-        raw = open(mask_path, "rb").read()
+        raw = Path(mask_path).read_bytes()
         payload = raw.split(b"255\n", 1)[1]
         assert set(payload) <= {0, 255}
 
@@ -242,7 +243,7 @@ class TestPredict:
         p1, p2 = str(tmp_path / "o1.pgm"), str(tmp_path / "o2.pgm")
         predict(out, img_path, p1)
         predict(out, img_path, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_repeated_predict_does_not_grow_memory(self, tiny_data, tmp_path):
         # every call loads its own model; none may outlive its call
