@@ -2,27 +2,14 @@
 the cross-center generalization report, and the gradient-check suite."""
 from __future__ import annotations
 
-import dataclasses
-import os
 import sys
 
 import click
 
 from .data import CenterSpec, generate_center, load_folder, save_dataset, split_dataset
-from .errors import ConfigError, read_json
+from .errors import read_json
 from .gradchecks import run_suite
 from .train import TrainConfig, evaluate, generalization_report, predict, train
-
-
-def _apply_threads(cfg, threads, env):
-    """``cfg`` with the ``--threads`` value, or the GMSRF_THREADS value
-    ``env``, which takes precedence, validated like the config file's."""
-    if env:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ConfigError(f"GMSRF_THREADS must be an integer, got {env!r}") from None
-    return cfg if threads is None else dataclasses.replace(cfg, threads=threads)
 
 
 @click.group()
@@ -59,11 +46,9 @@ def generate_data_cmd(spec_path, n, out_dir, size, split_ratios, split_seed):
 @click.option("--data", "data_dir", type=click.Path(exists=True), required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--log", "log_path", type=click.Path(), default=None)
-@click.option("--threads", type=int, default=None)
-def train_cmd(config_path, data_dir, out_path, log_path, threads):
+def train_cmd(config_path, data_dir, out_path, log_path):
     """Train on the train split of a dataset directory."""
     cfg = TrainConfig.from_json(config_path)
-    cfg = _apply_threads(cfg, threads, os.environ.get("GMSRF_THREADS"))
     dataset = load_folder(data_dir, cfg.model.input_size)
     train_set = dataset.subset("train")
     if not len(train_set):

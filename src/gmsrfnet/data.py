@@ -201,7 +201,9 @@ def split_dataset(dataset, ratios=(0.8, 0.1, 0.1), seed=0):
     remainder to train. ``ratios`` must be three fractions in [0, 1] that
     sum to 1, given as numbers or as strings of numbers. Each part holds
     split-tagged copies of the samples in dataset order; the input dataset
-    is left as it was."""
+    is left as it was. ``seed`` must be a non-negative integer."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"split seed must be a non-negative integer, got {seed!r}")
     try:
         fractions = [float(r) for r in ratios]
     except (TypeError, ValueError):
@@ -322,15 +324,11 @@ def resize_mask(mask, out_h, out_w):
 # -- augmentation -----------------------------------------------------------------
 
 
-@dataclass
-class AugmentPolicy:
-    flip_h: bool = True
-    flip_v: bool = True
-    crop: bool = True
-    crop_area: tuple = (0.8, 1.0)
-    jitter: bool = True
-    scale_range: tuple = (0.8, 1.2)
-    shift_range: tuple = (-0.1, 0.1)
+# The training recipe: each flip with probability 1/2, a crop keeping a
+# CROP_AREA fraction of the image resized back, then image * scale + shift.
+CROP_AREA = (0.8, 1.0)
+SCALE_RANGE = (0.8, 1.2)
+SHIFT_RANGE = (-0.1, 0.1)
 
 
 @dataclass
@@ -345,41 +343,27 @@ class Transform:
     shift: float
 
 
-def sample_transform(rng, policy, shape):
+def sample_transform(rng, shape):
     h, w = shape
-    flip_h = bool(policy.flip_h and rng.random() < 0.5)
-    flip_v = bool(policy.flip_v and rng.random() < 0.5)
-    crop_box = None
-    if policy.crop:
-        area = rng.uniform(*policy.crop_area)
-        side = np.sqrt(area)
-        ch = max(1, int(round(h * side)))
-        cw = max(1, int(round(w * side)))
-        top = int(rng.integers(0, h - ch + 1))
-        left = int(rng.integers(0, w - cw + 1))
-        if (ch, cw) != (h, w):
-            crop_box = (top, left, ch, cw)
-    scale, shift = 1.0, 0.0
-    if policy.jitter:
-        scale = float(rng.uniform(*policy.scale_range))
-        shift = float(rng.uniform(*policy.shift_range))
+    flip_h = bool(rng.random() < 0.5)
+    flip_v = bool(rng.random() < 0.5)
+    side = np.sqrt(rng.uniform(*CROP_AREA))
+    ch = max(1, int(round(h * side)))
+    cw = max(1, int(round(w * side)))
+    top = int(rng.integers(0, h - ch + 1))
+    left = int(rng.integers(0, w - cw + 1))
+    crop_box = (top, left, ch, cw) if (ch, cw) != (h, w) else None
+    scale = float(rng.uniform(*SCALE_RANGE))
+    shift = float(rng.uniform(*SHIFT_RANGE))
     return Transform(flip_h, flip_v, crop_box, scale, shift)
-
-
-def flip_horizontal(arr):
-    return arr[:, :, ::-1].copy()
-
-
-def flip_vertical(arr):
-    return arr[:, ::-1, :].copy()
 
 
 def apply_transform(sample, tf):
     image, mask = sample.image, sample.mask
     if tf.flip_h:
-        image, mask = flip_horizontal(image), flip_horizontal(mask)
+        image, mask = image[:, :, ::-1], mask[:, :, ::-1]
     if tf.flip_v:
-        image, mask = flip_vertical(image), flip_vertical(mask)
+        image, mask = image[:, ::-1], mask[:, ::-1]
     if tf.crop_box is not None:
         top, left, ch, cw = tf.crop_box
         h, w = sample.image.shape[1:]
@@ -390,11 +374,9 @@ def apply_transform(sample, tf):
     return Sample(image.astype(np.float32), mask, sample.id, sample.center_id, sample.split)
 
 
-def augment(sample, rng, policy=None):
+def augment(sample, rng):
     """Random flips, area crop with resize back, brightness/contrast jitter."""
-    if policy is None:
-        policy = AugmentPolicy()
-    return apply_transform(sample, sample_transform(rng, policy, sample.image.shape[1:]))
+    return apply_transform(sample, sample_transform(rng, sample.image.shape[1:]))
 
 
 # -- directory layout --------------------------------------------------------------

@@ -193,6 +193,8 @@ def model_checks(rng):
 
 def run_suite(scope="op", seed=0):
     """Run the requested scope; returns CheckResult rows."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise UsageError(f"gradcheck seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     if scope == "op":
         return op_checks(rng)

@@ -23,6 +23,7 @@ from .tensor import (
 )
 
 PROB_CLAMP = 1e-7
+THRESHOLD = 0.5   # a probability at or above it is foreground
 
 
 def _as_tensor(x, like=None):
@@ -91,13 +92,13 @@ class Metrics(NamedTuple):
     precision: float
 
 
-def confusion(pred, target, threshold=0.5):
-    """Binarize the prediction at the threshold and count pixels."""
+def confusion(pred, target):
+    """Binarize the prediction at THRESHOLD and count pixels."""
     p = pred.data if isinstance(pred, Tensor) else np.asarray(pred)
     t = target.data if isinstance(target, Tensor) else np.asarray(target)
     if p.shape != t.shape:
         raise ShapeError(f"prediction shape {p.shape} does not match target {t.shape}")
-    pb = p >= threshold
+    pb = p >= THRESHOLD
     tb = t >= 0.5
     tp = int(np.count_nonzero(pb & tb))
     fp = int(np.count_nonzero(pb & ~tb))
@@ -173,11 +174,11 @@ class MetricReport:
             json.dump(doc, f, indent=2)
 
 
-def build_report(ids, preds, targets, label, threshold=0.5):
+def build_report(ids, preds, targets, label):
     """Evaluate per-image predictions against masks into a MetricReport; its
     mIoU is the mean foreground IoU."""
     report = MetricReport(label=label)
     for sample_id, p, t in zip(ids, preds, targets):
-        m = metrics(confusion(p, t, threshold))
+        m = metrics(confusion(p, t))
         report.rows.append(MetricRow(sample_id, m.dsc, m.iou, m.recall, m.precision))
     return report

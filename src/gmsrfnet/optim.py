@@ -7,9 +7,14 @@ import numpy as np
 
 from .errors import NumericsError
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
-    """Standard Adam; the step counter increments once per step() call.
+    """Standard Adam with BETA1, BETA2 and EPS; the step counter increments
+    once per step() call.
 
     Works on a layer's ``Arena``: one step is a handful of vectorized
     expressions over its flat ``params`` and ``grads``, with flat moments
@@ -21,12 +26,9 @@ class Adam:
     completed step.
     """
 
-    def __init__(self, arena, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, arena, lr=1e-4):
         self.arena = arena
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(arena.params)
         self.v = np.zeros_like(arena.params)
@@ -43,11 +45,11 @@ class Adam:
         if self.m.dtype != params.dtype:
             self.m, self.v = self.m.astype(params.dtype), self.v.astype(params.dtype)
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         m, v = self.m, self.v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
-        params -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        params -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)

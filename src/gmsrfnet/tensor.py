@@ -473,8 +473,11 @@ def activation(x, kind):
 # -- normalization ------------------------------------------------------------
 
 
-def batch_norm(x, gamma, beta, state, training, eps=1e-5, momentum=0.1,
-               act="linear"):
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
+
+def batch_norm(x, gamma, beta, state, training, act="linear"):
     """Per-channel batch normalization with running statistics, followed by
     the activation ``act`` ("linear" or "leaky_relu" with slope
     ``LEAKY_ALPHA``), recorded as one op.
@@ -484,9 +487,9 @@ def batch_norm(x, gamma, beta, state, training, eps=1e-5, momentum=0.1,
     ``num_updates``, such as a ``blocks.BatchNorm2d``; train mode updates
     them in place. Train mode normalizes by the batch mean and the centred
     two-pass variance over the M = N*H*W values of each channel, and blends
-    the running statistics; at M = 1 the output is act(beta) and the input
-    gradient zero. Eval mode normalizes by the running statistics and
-    requires at least one prior training update.
+    the running statistics by ``BN_MOMENTUM``; at M = 1 the output is
+    act(beta) and the input gradient zero. Eval mode normalizes by the
+    running statistics and requires at least one prior training update.
 
     The closed-form backward reads the leaky mask from the output's sign,
     which a positive slope keeps equal to the pre-activation's.
@@ -509,7 +512,7 @@ def batch_norm(x, gamma, beta, state, training, eps=1e-5, momentum=0.1,
         xhat = x.data - mean
         var = np.mean(xhat * xhat, axis=(0, 2, 3), keepdims=True)
         unbiased = var * (count / (count - 1)) if count > 1 else var
-        m = dt(momentum)
+        m = dt(BN_MOMENTUM)
         state.running_mean *= 1 - m
         state.running_mean += m * mean
         state.running_var *= 1 - m
@@ -520,7 +523,7 @@ def batch_norm(x, gamma, beta, state, training, eps=1e-5, momentum=0.1,
             raise StateError("batch_norm: eval mode before any training update")
         xhat = x.data - state.running_mean
         var = state.running_var
-    inv_std = 1.0 / np.sqrt(var + dt(eps))
+    inv_std = 1.0 / np.sqrt(var + dt(BN_EPS))
     xhat *= inv_std
     y = xhat * gamma.data
     y += beta.data

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import AugmentPolicy, augment, read_pnm, resize_image, resize_mask, write_pnm
+from .data import augment, read_pnm, resize_image, resize_mask, write_pnm
 from .errors import ConfigError, FormatError, NumericsError, check_fields, config_fields, read_json
-from .losses import build_report, total_loss
+from .losses import THRESHOLD, build_report, total_loss
 from .network import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from .optim import Adam
 from .tensor import Tensor, backward, no_grad
@@ -27,9 +27,6 @@ class TrainConfig:
     lr: float = 1e-4
     batch_size: int = 8
     epochs: int = 50
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     max_steps: int | None = None
     augment: bool = True
@@ -85,13 +82,12 @@ def _stack_batch(samples):
     return Tensor(images), masks
 
 
-def _prepare_samples(samples, indices, cfg, epoch, policy):
+def _prepare_samples(samples, indices, cfg, epoch):
     def prep(i):
         s = samples[int(i)]
-        if policy is None:
+        if not cfg.augment:
             return s
-        rng = np.random.default_rng([cfg.seed, epoch, int(i)])
-        return augment(s, rng, policy)
+        return augment(s, np.random.default_rng([cfg.seed, epoch, int(i)]))
 
     if cfg.threads > 1:
         # per-sample seeding keeps results identical to sequential execution
@@ -118,8 +114,7 @@ def train(cfg, train_set, val_set=None, out_path=None, log_path=None):
             )
 
     model = build_model(cfg.model)
-    adam = Adam(model.arena, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
-    policy = AugmentPolicy() if cfg.augment else None
+    adam = Adam(model.arena, cfg.lr)
     best_path = out_path + ".best" if out_path else None
 
     epoch_rows = []
@@ -134,7 +129,7 @@ def train(cfg, train_set, val_set=None, out_path=None, log_path=None):
             model.set_training(True)
             for start in range(0, n, cfg.batch_size):
                 batch_idx = order[start : start + cfg.batch_size]
-                batch = _prepare_samples(train_set.samples, batch_idx, cfg, epoch, policy)
+                batch = _prepare_samples(train_set.samples, batch_idx, cfg, epoch)
                 images, masks = _stack_batch(batch)
                 maps = model(images)
                 loss = total_loss(maps, masks)
@@ -192,13 +187,13 @@ def predict_maps(model, dataset, batch_size=8):
     return preds
 
 
-def evaluate_model(model, dataset, label="", threshold=0.5, batch_size=8):
+def evaluate_model(model, dataset, label="", batch_size=8):
     preds = predict_maps(model, dataset, batch_size)
     targets = [s.mask for s in dataset.samples]
-    return build_report(dataset.ids(), preds, targets, label, threshold)
+    return build_report(dataset.ids(), preds, targets, label)
 
 
-def evaluate(checkpoint, dataset, out_base=None, label="", threshold=0.5):
+def evaluate(checkpoint, dataset, out_base=None, label=""):
     """Evaluate a checkpoint (path or loaded model) on a dataset; optionally
     write <out_base>.csv and <out_base>.json."""
     model = load_checkpoint(checkpoint) if isinstance(checkpoint, (str, os.PathLike)) else checkpoint
@@ -208,14 +203,14 @@ def evaluate(checkpoint, dataset, out_base=None, label="", threshold=0.5):
             raise FormatError(
                 f"sample {s.id} has size {s.image.shape[1:]}, checkpoint expects {size}x{size}"
             )
-    report = evaluate_model(model, dataset, label or dataset.center_id, threshold)
+    report = evaluate_model(model, dataset, label or dataset.center_id)
     if out_base:
         report.write_csv(out_base + ".csv")
         report.write_json(out_base + ".json")
     return report
 
 
-def predict(checkpoint_path, image_path, out_mask_path, threshold=0.5):
+def predict(checkpoint_path, image_path, out_mask_path):
     """Segment one PPM image; writes a {0, 255} P5 mask at the input's own
     resolution."""
     model = load_checkpoint(checkpoint_path)
@@ -229,15 +224,14 @@ def predict(checkpoint_path, image_path, out_mask_path, threshold=0.5):
     with no_grad():
         maps = model(Tensor(resized[None]))
     prob = maps[-1].data[0, 0]
-    write_pnm(resize_mask((prob >= threshold)[None].astype(np.float32), orig_h, orig_w),
+    write_pnm(resize_mask((prob >= THRESHOLD)[None].astype(np.float32), orig_h, orig_w),
               out_mask_path)
 
 
 # -- generalization report ---------------------------------------------------------
 
 
-def generalization_report(ckpt_a, ckpt_b, data_a, data_b, out_base=None,
-                          threshold=0.5):
+def generalization_report(ckpt_a, ckpt_b, data_a, data_b, out_base=None):
     """2x2 cross-center evaluation: each model on its own test split and on
     the other center's full dataset, with the source-minus-unseen DSC gap."""
     model_a = load_checkpoint(ckpt_a) if isinstance(ckpt_a, (str, os.PathLike)) else ckpt_a
@@ -252,8 +246,8 @@ def generalization_report(ckpt_a, ckpt_b, data_a, data_b, out_base=None,
         ("model-a", model_a, source_split(data_a), data_b),
         ("model-b", model_b, source_split(data_b), data_a),
     ):
-        src = evaluate_model(model, source, label="source", threshold=threshold).means
-        uns = evaluate_model(model, unseen, label="unseen", threshold=threshold).means
+        src = evaluate_model(model, source, label="source").means
+        uns = evaluate_model(model, unseen, label="unseen").means
         rows.append({
             "model": name,
             "source_dsc": src["dsc"], "source_miou": src["miou"],

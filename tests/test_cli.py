@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from gmsrfnet.cli import main
 from gmsrfnet.data import default_center_a, generate_center, write_pnm
-from gmsrfnet.errors import ConfigError
+from gmsrfnet.errors import ConfigError, UsageError
 
 
 @pytest.fixture
@@ -82,6 +82,16 @@ class TestGenerateData:
         assert isinstance(result.exception, ConfigError), result.exception
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_split_seed_is_a_config_error(self, runner, tmp_path, seed):
+        result = runner.invoke(main, [
+            "generate-data", "--n", "4", "--size", "16", "--out", str(tmp_path / "d"),
+            "--split-seed", seed,
+        ])
+        assert isinstance(result.exception, ConfigError), result.exception
+        assert "seed" in str(result.exception)
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrainEvalPredict:
     def test_full_pipeline(self, workspace, runner, tmp_path):
@@ -128,50 +138,19 @@ class TestTrainEvalPredict:
         rows = json.loads((base / "gen.json").read_text())["rows"]
         assert len(rows) == 2
 
-    def test_threads_env_override(self, workspace, runner, monkeypatch):
+    @pytest.mark.parametrize("threads", [-3, 0])
+    def test_threads_option_below_one_is_a_config_error(self, workspace, runner, threads):
+        # the config file's "threads" key is the one way to set the worker count
         base, data_dir, cfg_path = workspace
-        monkeypatch.setenv("GMSRF_THREADS", "2")
-        result = runner.invoke(main, [
-            "train", "--config", str(cfg_path), "--data", str(data_dir),
-            "--out", str(base / "threaded.ckpt"),
-        ])
-        assert result.exit_code == 0, result.output
-
-    def test_threads_env_not_an_integer(self, workspace, runner, monkeypatch):
-        base, data_dir, cfg_path = workspace
-        monkeypatch.setenv("GMSRF_THREADS", "abc")
+        cfg = json.loads(cfg_path.read_text())
+        cfg_path.write_text(json.dumps(dict(cfg, threads=threads)))
         result = runner.invoke(main, [
             "train", "--config", str(cfg_path), "--data", str(data_dir),
             "--out", str(base / "never.ckpt"),
         ])
         assert result.exit_code != 0
         assert isinstance(result.exception, ConfigError), result.exception
-        assert "GMSRF_THREADS" in str(result.exception)
-        assert not (base / "never.ckpt").exists()
-
-    @pytest.mark.parametrize("threads", ["-3", "0"])
-    def test_threads_option_below_one_is_a_config_error(self, workspace, runner, threads):
-        base, data_dir, cfg_path = workspace
-        result = runner.invoke(main, [
-            "train", "--config", str(cfg_path), "--data", str(data_dir),
-            "--out", str(base / "never.ckpt"), "--threads", threads,
-        ])
-        assert result.exit_code != 0
-        assert isinstance(result.exception, ConfigError), result.exception
         assert "threads" in str(result.exception)
-        assert not (base / "never.ckpt").exists()
-
-    @pytest.mark.parametrize("threads", ["-3", "0"])
-    def test_threads_env_below_one_is_a_config_error(self, workspace, runner, monkeypatch,
-                                                     threads):
-        base, data_dir, cfg_path = workspace
-        monkeypatch.setenv("GMSRF_THREADS", threads)
-        result = runner.invoke(main, [
-            "train", "--config", str(cfg_path), "--data", str(data_dir),
-            "--out", str(base / "never.ckpt"), "--threads", "2",
-        ])
-        assert result.exit_code != 0
-        assert isinstance(result.exception, ConfigError), result.exception
         assert not (base / "never.ckpt").exists()
 
 
@@ -180,3 +159,10 @@ class TestGradcheckCommand:
         result = runner.invoke(main, ["gradcheck", "--scope", "op"])
         assert result.exit_code == 0, result.output
         assert "all" in result.output and "passed" in result.output
+
+    @pytest.mark.parametrize("scope", ["op", "block", "model"])
+    def test_negative_seed_is_a_usage_error(self, runner, scope):
+        result = runner.invoke(main, ["gradcheck", "--scope", scope, "--seed", "-1"])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, UsageError), result.exception
+        assert "seed" in str(result.exception)

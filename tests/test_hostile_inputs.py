@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gmsrfnet
-from gmsrfnet.cli import _apply_threads
 from gmsrfnet.data import (
     CenterSpec,
     Dataset,
@@ -98,6 +97,7 @@ class TestConfigs:
     @pytest.mark.parametrize("d", [
         {"bogus": 1}, {"lr": "x"}, {"batch_size": None}, [], {"model": "x"},
         {"max_steps": 0}, {"lr": float("nan")}, {"epochs": 2.0}, {"augment": 1},
+        {"threads": 0}, {"threads": -3}, {"beta1": 0.9}, {"eps": 1e-8},
     ])
     def test_measured_train_config_cases(self, d):
         with pytest.raises(ConfigError):
@@ -119,19 +119,6 @@ class TestConfigs:
     def test_mistyped_constructor_argument(self, make):
         with pytest.raises(ConfigError):
             make()
-
-    @SETTINGS
-    @given(st.none() | st.text(max_size=8) | st.integers(-3, 10**6).map(str),
-           st.none() | st.integers(-3, 64))
-    def test_threads_env(self, env, option):
-        # parses and validates only: nothing here trains or starts a thread
-        cfg = TrainConfig()
-        try:
-            out = _apply_threads(cfg, option, env)
-        except ConfigError:
-            return
-        assert isinstance(out, TrainConfig) and out.threads >= 1
-        assert out.threads == (int(env) if env else cfg.threads if option is None else option)
 
     def test_deeply_nested_file(self, tmp_path):
         path = tmp_path / "train.json"

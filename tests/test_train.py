@@ -16,8 +16,8 @@ from gmsrfnet.data import (
     write_pnm,
 )
 from gmsrfnet.errors import FormatError, NumericsError
-from gmsrfnet.losses import build_report
-from gmsrfnet.network import ModelConfig, load_checkpoint
+from gmsrfnet.losses import THRESHOLD, build_report
+from gmsrfnet.network import ModelConfig, load_checkpoint, save_checkpoint
 from gmsrfnet.optim import Adam
 from gmsrfnet.tensor import Tensor, no_grad
 from gmsrfnet.train import (
@@ -53,6 +53,16 @@ def tiny_data():
 
 
 class TestTrainConfig:
+    def test_readme_example_loads(self):
+        import json
+        import re
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert blocks
+        for block in blocks:
+            TrainConfig.from_dict(json.loads(block))
+
     def test_json_round_trip(self, tmp_path):
         import json
 
@@ -216,20 +226,30 @@ class TestPredict:
         train(tiny_config(epochs=1), train_set, None, out)
         img_path, mask_path = str(tmp_path / "in.ppm"), str(tmp_path / "out.pgm")
         write_pnm(np.random.default_rng(8).uniform(0, 1, (3, 50, 37)), img_path)
+
+        def primary_map(model):
+            model.set_training(False)
+            with no_grad():
+                image = resize_image(read_pnm(img_path), size, size)[None]
+                return model(Tensor(image))[-1].data[0, 0]
+
+        # the trained map lies wholly below THRESHOLD; shifting the primary
+        # head's bias by -logit(median) puts about half of it above
         model = load_checkpoint(out)
         size = model.config.input_size
-        model.set_training(False)
-        with no_grad():
-            prob = model(Tensor(resize_image(read_pnm(img_path), size, size)[None]))[-1].data[0, 0]
-        threshold = float(np.median(prob))
-        predict(out, img_path, mask_path, threshold)
+        median = float(np.median(primary_map(model)))
+        model.heads.convs[3].bias.data -= np.log(median / (1.0 - median))
+        shifted = str(tmp_path / "shifted.ckpt")
+        save_checkpoint(model, shifted)
+        prob = primary_map(load_checkpoint(shifted))
+        predict(shifted, img_path, mask_path)
         expected = np.zeros((1, 50, 37), np.float32)
         for r in range(50):
             for c in range(37):
                 # the source pixel is the one holding this output pixel's center
                 src_r = min(int((r + 0.5) * size / 50), size - 1)
                 src_c = min(int((c + 0.5) * size / 37), size - 1)
-                expected[0, r, c] = prob[src_r, src_c] >= threshold
+                expected[0, r, c] = prob[src_r, src_c] >= THRESHOLD
         assert 0 < expected.sum() < expected.size
         assert np.array_equal(read_pnm(mask_path), expected)
 
