@@ -13,7 +13,7 @@ from .errors import (
     UsageError,
 )
 from .network import ModelConfig, SegmentationModel, build_model, load_checkpoint, save_checkpoint
-from .tensor import Tensor, backward, finite_diff_gradcheck, no_grad
+from .tensor import Tensor, backward, no_grad
 from .train import TrainConfig, evaluate, generalization_report, predict, train
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "backward",
     "build_model",
     "evaluate",
-    "finite_diff_gradcheck",
     "generalization_report",
     "load_checkpoint",
     "no_grad",

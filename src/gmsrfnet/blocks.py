@@ -13,10 +13,8 @@ from .tensor import (
     DEFAULT_DTYPE,
     LEAKY_ALPHA,
     Tensor,
-    activation,
     add,
     batch_norm,
-    broadcast_spatial,
     concat_channels,
     conv2d,
     conv_transpose2d,
@@ -179,14 +177,16 @@ class ConvBlock(Layer):
     """conv -> batch norm -> activation; the unit block of the network.
 
     A normalized block has no conv bias, because the batch mean cancels it,
-    and runs batch norm and its activation as one op. Attention/supervision
-    heads drop the normalization, keep the bias and switch the activation,
-    which callers select via ``norm`` and ``act``.
+    and runs batch norm and its activation ``act`` as one op. With
+    ``norm=False`` (attention and supervision heads) the block is a biased
+    conv with no activation, so ``act`` must be "linear".
     """
 
     def __init__(self, rng, cin, cout, kernel, stride=1, padding=0, dilation=1,
                  act="leaky_relu", norm=True, transpose=False):
         super().__init__()
+        if not norm and act != "linear":
+            raise UsageError(f"conv block without normalization takes no activation, got {act!r}")
         shape = (cin, cout, kernel, kernel) if transpose else (cout, cin, kernel, kernel)
         self.weight = he_weight(rng, shape, cin * kernel * kernel, act)
         self.bias = None if norm else vector(np.zeros(cout), requires_grad=True)
@@ -204,7 +204,7 @@ class ConvBlock(Layer):
             y = conv2d(x, self.weight, self.bias, self.stride, self.padding, self.dilation)
         bn = self.bn
         if bn is None:
-            return activation(y, self.act)
+            return y
         return batch_norm(y, bn.gamma, bn.beta, bn, bn.training, act=self.act)
 
 
@@ -223,7 +223,7 @@ class SqueezeExcite(Layer):
         s = global_avg_pool(x)
         s = relu(conv2d(s, self.w1, self.b1))
         gate = sigmoid(conv2d(s, self.w2, self.b2))
-        return mul(x, broadcast_spatial(gate, x.shape[2], x.shape[3]))
+        return mul(x, gate)
 
 
 class Resampler(Layer):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .blocks import ConvBlock, Layer, Resampler, SqueezeExcite
 from .errors import ShapeError, UsageError
-from .tensor import add, concat_channels, mul
+from .tensor import add, concat_channels, mul, sigmoid
 
 SCALES = (1, 2, 3, 4)
 
@@ -29,7 +29,7 @@ class CrossScaleAttention(Layer):
         self.resamplers = [Resampler(rng, growth, src, target_scale)
                            for src in SCALES if src != target_scale]
         self.fuse = ConvBlock(rng, 3 * growth, growth, 3, padding=1)
-        self.gate = ConvBlock(rng, growth, growth, 1, act="sigmoid", norm=False)
+        self.gate = ConvBlock(rng, growth, growth, 1, act="linear", norm=False)
 
     def resample(self, others):
         """Bring the three foreign-scale features to the target scale."""
@@ -38,7 +38,7 @@ class CrossScaleAttention(Layer):
         return [r(x) for r, x in zip(self.resamplers, others)]
 
     def forward(self, resampled):
-        return self.gate(self.fuse(concat_channels(resampled)))
+        return sigmoid(self.gate(self.fuse(concat_channels(resampled))))
 
 
 class GmsrfModule(Layer):

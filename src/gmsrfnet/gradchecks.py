@@ -138,7 +138,8 @@ def op_checks(rng):
     results.append(_check("reduce_sum", lambda: T.scale_shift(T.reduce_sum(T.mul(p, p)), 0.5, 0.0), [p]))
     results.append(_check("reduce_sum_per_image", lambda: _sq_mean(T.reduce_sum_per_image(p)), [p]))
     bb = _rand(rng, (2, 3, 1, 1))
-    results.append(_check("broadcast_spatial", lambda: _sq_mean(T.broadcast_spatial(bb, 4, 5)), [bb]))
+    wide = _rand(rng, (2, 3, 4, 5))
+    results.append(_check("mul_per_channel", lambda: _sq_mean(T.mul(wide, bb)), [wide, bb]))
     return results
 
 

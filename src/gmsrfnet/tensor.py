@@ -370,10 +370,16 @@ def add(x, y):
 
 
 def mul(x, y):
-    _check_same_shape("mul", x, y)
+    """Elementwise product. y may also be a per-channel factor of shape
+    (N, C, 1, 1) with x's N and C; its gradient sums over H and W."""
+    if y.shape != x.shape[:2] + (1, 1):
+        _check_same_shape("mul", x, y)
 
     def backward_fn(g):
-        return g * y.data, g * x.data
+        g_y = g * x.data
+        if g_y.shape != y.shape:
+            g_y = g_y.sum(axis=(2, 3), keepdims=True)
+        return g * y.data, g_y
 
     return _record(x.data * y.data, [x, y], backward_fn)
 
@@ -459,15 +465,6 @@ def sigmoid(x):
         return (g * y * (1.0 - y),)
 
     return _record(y, [x], backward_fn)
-
-
-def activation(x, kind):
-    """Apply an activation selected by name; "linear" is the identity."""
-    if kind == "sigmoid":
-        return sigmoid(x)
-    if kind == "linear":
-        return x
-    raise UsageError(f"activation: unknown kind {kind!r}")
 
 
 # -- normalization ------------------------------------------------------------
@@ -556,19 +553,6 @@ def global_avg_pool(x):
 
     def backward_fn(g):
         return (np.broadcast_to(g * (1.0 / (h * w)), x.shape),)
-
-    return _record(y, [x], backward_fn)
-
-
-def broadcast_spatial(x, out_h, out_w):
-    """Tile a (N, C, 1, 1) tensor over a spatial grid."""
-    n, c, h, w = x.shape
-    if (h, w) != (1, 1):
-        raise ShapeError(f"broadcast_spatial expects (N, C, 1, 1), got {x.shape}")
-    y = np.broadcast_to(x.data, (n, c, out_h, out_w)).copy()
-
-    def backward_fn(g):
-        return (g.sum(axis=(2, 3), keepdims=True),)
 
     return _record(y, [x], backward_fn)
 
@@ -691,11 +675,3 @@ def max_grad_error(f, inputs, h_scale=1e-6, max_coords=None, rng=None):
                 if err > worst:
                     worst = err
     return worst
-
-
-def finite_diff_gradcheck(f, x, h_scale=1e-6):
-    """Check the gradient of scalar-valued ``f(x)`` at x (float64 only)."""
-    if x.data.dtype != np.float64:
-        raise UsageError("finite_diff_gradcheck requires a float64 tensor")
-    probe = Tensor(x.data.copy(), requires_grad=True)
-    return max_grad_error(lambda: f(probe), [probe], h_scale=h_scale)

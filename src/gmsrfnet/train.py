@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import augment, read_pnm, resize_image, resize_mask, write_pnm
-from .errors import ConfigError, FormatError, NumericsError, check_fields, config_fields, read_json
+from .errors import (
+    ConfigError, FormatError, NumericsError, UsageError, check_fields, config_fields, read_json,
+)
 from .losses import THRESHOLD, build_report, total_loss
 from .network import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from .optim import Adam
@@ -100,10 +102,17 @@ def train(cfg, train_set, val_set=None, out_path=None, log_path=None):
     """Run the training loop; returns the model, per-epoch log rows, and the
     raw per-step loss trace.
 
-    Saves the final checkpoint at out_path and the best-validation-DSC
-    checkpoint alongside it. A NumericsError aborts after re-saving the
-    parameters from the last completed step.
+    Saves the final checkpoint at out_path and, when a non-empty val_set is
+    given, the best-validation-DSC checkpoint at out_path + ".best". A
+    NumericsError aborts after re-saving the parameters from the last
+    completed step. An out_path or log_path that is a directory, or whose
+    directory is missing, raises UsageError before the model is built.
     """
+    for what, path in (("out_path", out_path), ("log_path", log_path)):
+        if path and os.path.isdir(path):
+            raise UsageError(f"{what} {path!r} is a directory")
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise UsageError(f"{what} {path!r} is in a directory that does not exist")
     if len(train_set) == 0:
         raise ConfigError("training set is empty")
     size = cfg.model.input_size
@@ -115,7 +124,8 @@ def train(cfg, train_set, val_set=None, out_path=None, log_path=None):
 
     model = build_model(cfg.model)
     adam = Adam(model.arena, cfg.lr)
-    best_path = out_path + ".best" if out_path else None
+    validate = val_set is not None and len(val_set) > 0
+    best_path = out_path + ".best" if out_path and validate else None
 
     epoch_rows = []
     step_losses = []
@@ -143,7 +153,7 @@ def train(cfg, train_set, val_set=None, out_path=None, log_path=None):
                 if cfg.max_steps is not None and step >= cfg.max_steps:
                     break
             row = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses))}
-            if val_set is not None and len(val_set):
+            if validate:
                 val_dsc = evaluate_model(model, val_set, "val", batch_size=cfg.batch_size).means["dsc"]
                 row["val_dsc"] = val_dsc
                 if best_path and val_dsc > best_dsc:
@@ -231,11 +241,10 @@ def predict(checkpoint_path, image_path, out_mask_path):
 # -- generalization report ---------------------------------------------------------
 
 
-def generalization_report(ckpt_a, ckpt_b, data_a, data_b, out_base=None):
-    """2x2 cross-center evaluation: each model on its own test split and on
-    the other center's full dataset, with the source-minus-unseen DSC gap."""
-    model_a = load_checkpoint(ckpt_a) if isinstance(ckpt_a, (str, os.PathLike)) else ckpt_a
-    model_b = load_checkpoint(ckpt_b) if isinstance(ckpt_b, (str, os.PathLike)) else ckpt_b
+def generalization_report(model_a, model_b, data_a, data_b, out_base=None):
+    """2x2 cross-center evaluation of two loaded models: each on its own
+    test split and on the other center's full dataset, with the
+    source-minus-unseen DSC gap."""
 
     def source_split(ds):
         test = ds.subset("test")

@@ -34,13 +34,16 @@ class TestConvBlock:
     def test_bias_only_without_norm(self, rng):
         names = [n for n, _ in ConvBlock(rng, 2, 3, 3).named_parameters()]
         assert names == ["weight", "bn.gamma", "bn.beta"]
-        names = [n for n, _ in ConvBlock(rng, 2, 3, 1, act="sigmoid", norm=False).named_parameters()]
+        names = [n for n, _ in ConvBlock(rng, 2, 3, 1, act="linear", norm=False).named_parameters()]
         assert names == ["weight", "bias"]
 
     def test_normalized_block_rejects_other_activations(self, rng):
         block = ConvBlock(rng, 2, 3, 3, act="sigmoid")
         with pytest.raises(UsageError):
             block(Tensor(rng.normal(size=(1, 2, 5, 5)).astype(np.float32)))
+        # an un-normalized block has no activation at all
+        with pytest.raises(UsageError):
+            ConvBlock(rng, 2, 3, 1, act="sigmoid", norm=False)
 
     def test_stride_two_halves(self, rng):
         block = ConvBlock(rng, 4, 4, 3, stride=2, padding=1)

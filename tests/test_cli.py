@@ -153,6 +153,24 @@ class TestTrainEvalPredict:
         assert "threads" in str(result.exception)
         assert not (base / "never.ckpt").exists()
 
+    @pytest.mark.parametrize("out, log", [
+        ("outdir", None),
+        ("nodir/m.ckpt", None),
+        ("m.ckpt", "nodir/log.csv"),
+    ])
+    def test_unwritable_output_is_a_usage_error_before_training(self, workspace, runner,
+                                                                 out, log):
+        base, data_dir, cfg_path = workspace
+        (base / "outdir").mkdir()
+        before = sorted(base.rglob("*"))
+        args = ["train", "--config", str(cfg_path), "--data", str(data_dir),
+                "--out", str(base / out)]
+        if log:
+            args += ["--log", str(base / log)]
+        result = runner.invoke(main, args)
+        assert isinstance(result.exception, UsageError), result.exception
+        assert sorted(base.rglob("*")) == before
+
 
 class TestGradcheckCommand:
     def test_op_scope_exit_zero(self, runner):

@@ -8,7 +8,7 @@ from gmsrfnet import tensor as T
 from gmsrfnet.blocks import BatchNorm2d
 from gmsrfnet.errors import NumericsError, ShapeError, StateError, UsageError
 from gmsrfnet.network import ModelConfig, build_model
-from gmsrfnet.tensor import Tensor, backward, finite_diff_gradcheck, max_grad_error
+from gmsrfnet.tensor import Tensor, backward, max_grad_error
 
 import reference
 
@@ -242,6 +242,27 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             T.add(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 2, 3))))
 
+    def test_mul_per_channel_factor_matches_numpy(self):
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.normal(size=(2, 3, 4, 5)).astype(np.float32), requires_grad=True)
+        y = Tensor(rng.normal(size=(2, 3, 1, 1)).astype(np.float32), requires_grad=True)
+        g = rng.normal(size=(2, 3, 4, 5)).astype(np.float32)
+        z = T.mul(x, y)
+        assert np.array_equal(z.data, x.data * y.data)
+        backward(T.reduce_sum(T.mul(z, Tensor(g))))
+        assert np.array_equal(x.grad, g * y.data)
+        assert np.array_equal(y.grad, (g * x.data).sum(axis=(2, 3), keepdims=True))
+
+    @pytest.mark.parametrize("x_shape, y_shape", [
+        ((2, 3, 4, 5), (2, 3, 4, 1)), ((2, 3, 4, 5), (2, 3, 1, 5)),
+        ((2, 3, 4, 5), (1, 3, 1, 1)), ((2, 3, 4, 5), (2, 1, 1, 1)),
+        ((2, 3, 4, 5), (2, 4, 1, 1)), ((2, 3, 4, 5), (1, 1, 1, 1)),
+        ((2, 3, 1, 1), (2, 3, 4, 5)),  # the per-channel factor goes second
+    ])
+    def test_mul_rejects_other_shapes(self, x_shape, y_shape):
+        with pytest.raises(ShapeError):
+            T.mul(Tensor(np.zeros(x_shape)), Tensor(np.zeros(y_shape)))
+
 
 class TestActivations:
     def test_sigmoid_zero(self):
@@ -264,16 +285,6 @@ class TestActivations:
         x = Tensor(np.array([[[[ -800.0, 800.0]]]]), dtype=np.float64)
         y = T.sigmoid(x).data
         assert np.all(y > 0.0) and np.all(y < 1.0)
-
-    def test_activation_dispatch_linear(self):
-        x = t([[1.5]])
-        assert T.activation(x, "linear") is x
-
-    @pytest.mark.parametrize("kind", ["relu", "leaky_relu"])
-    def test_activation_rejects_kinds_without_a_caller(self, kind):
-        # leaky ReLU runs inside batch_norm, relu is called directly
-        with pytest.raises(UsageError):
-            T.activation(t([[1.5]]), kind)
 
 
 class TestBatchNorm:
@@ -487,8 +498,8 @@ class TestBackward:
         def f(x):
             return T.reduce_sum(T.sigmoid(T.conv2d(x, Tensor(w.data), padding=1)))
 
-        x0 = Tensor(rng.normal(size=(1, 3, 5, 5)), dtype=np.float64)
-        assert finite_diff_gradcheck(f, x0) < 1e-5
+        x0 = Tensor(rng.normal(size=(1, 3, 5, 5)), requires_grad=True, dtype=np.float64)
+        assert max_grad_error(lambda: f(x0), [x0]) < 1e-5
 
 
 class TestGraphLifetime:
@@ -574,9 +585,9 @@ class TestGradcheckHarness:
     def test_affine_function_near_exact(self):
         # central differences are exact for affine maps at any step size, so a
         # larger step leaves only negligible float64 roundoff
-        x = Tensor(np.random.default_rng(16).normal(size=(1, 2, 3, 3)), dtype=np.float64)
-        err = finite_diff_gradcheck(lambda v: T.reduce_sum(T.scale_shift(v, 3.0, 1.0)), x,
-                                    h_scale=1e-3)
+        x = Tensor(np.random.default_rng(16).normal(size=(1, 2, 3, 3)), requires_grad=True,
+                   dtype=np.float64)
+        err = max_grad_error(lambda: T.reduce_sum(T.scale_shift(x, 3.0, 1.0)), [x], h_scale=1e-3)
         assert err < 1e-10
 
     def test_conv_bn_sigmoid_pipeline(self):
@@ -598,18 +609,18 @@ class TestGradcheckHarness:
         rng = np.random.default_rng(18)
         vals = rng.normal(size=(1, 2, 4, 4))
         vals = np.where(np.abs(vals) < 1e-2, 0.5, vals)
-        x = Tensor(vals, dtype=np.float64)
-        assert finite_diff_gradcheck(lambda v: T.reduce_sum(T.relu(v)), x) < 1e-5
+        x = Tensor(vals, requires_grad=True, dtype=np.float64)
+        assert max_grad_error(lambda: T.reduce_sum(T.relu(x)), [x]) < 1e-5
 
     def test_requires_float64(self):
-        x = Tensor(np.zeros((1, 1, 2, 2), np.float32))
+        x = Tensor(np.zeros((1, 1, 2, 2), np.float32), requires_grad=True)
         with pytest.raises(UsageError):
-            finite_diff_gradcheck(lambda v: T.reduce_sum(v), x)
+            max_grad_error(lambda: T.reduce_sum(x), [x])
 
     def test_nan_produces_numerics_error(self):
-        x = Tensor(np.full((1, 1, 1, 1), -1.0), dtype=np.float64)
+        x = Tensor(np.full((1, 1, 1, 1), -1.0), requires_grad=True, dtype=np.float64)
         with pytest.raises(NumericsError):
-            finite_diff_gradcheck(lambda v: T.log(v), x)
+            max_grad_error(lambda: T.log(x), [x])
 
     @pytest.mark.parametrize("name", ["conv2d", "conv_transpose", "gap", "resize", "sigmoid"])
     def test_random_small_inputs_under_1e5(self, name):
@@ -632,4 +643,5 @@ class TestGradcheckHarness:
         else:
             f = lambda x: T.reduce_mean(T.mul(T.sigmoid(x), x))
             x = Tensor(rng.normal(size=(2, 4, 6, 6)), dtype=np.float64)
-        assert finite_diff_gradcheck(f, x) < 1e-5
+        probe = Tensor(x.data, requires_grad=True)
+        assert max_grad_error(lambda: f(probe), [probe]) < 1e-5

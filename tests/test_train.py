@@ -97,6 +97,17 @@ class TestTrainLoop:
         assert (tmp_path / "m.ckpt").exists()
         assert (tmp_path / "m.ckpt.best").exists()
         assert result.final_path == out
+        assert result.best_path == out + ".best"
+
+    @pytest.mark.parametrize("empty_val", [False, True])
+    def test_no_best_checkpoint_without_validation(self, tiny_data, tmp_path, empty_val):
+        train_set, _, _ = tiny_data
+        val_set = train_set.subset("no-such-split") if empty_val else None
+        out = str(tmp_path / "m.ckpt")
+        result = train(tiny_config(epochs=1, max_steps=1), train_set, val_set, out)
+        assert result.best_path is None
+        assert (tmp_path / "m.ckpt").exists()
+        assert not (tmp_path / "m.ckpt.best").exists()
 
     def test_ten_step_determinism_byte_identical(self, tiny_data, tmp_path):
         train_set, _, _ = tiny_data
