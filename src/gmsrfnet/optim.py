@@ -32,24 +32,31 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(arena.params)
         self.v = np.zeros_like(arena.params)
+        self._scratch = np.empty((2,) + arena.params.shape, arena.params.dtype)
+        self._finite = np.empty(arena.params.shape, bool)
 
     def zero_grad(self):
         self.arena.grads.fill(0)
 
     def step(self):
         params, g = self.arena.params, self.arena.grads
-        finite = np.isfinite(g)
+        finite = np.isfinite(g, out=self._finite)
         if not finite.all():
             bad = bisect.bisect_right(self.arena.offsets, np.argmin(finite)) - 1
             raise NumericsError(f"non-finite gradient for parameter {self.arena.names[bad]!r}")
         if self.m.dtype != params.dtype:
             self.m, self.v = self.m.astype(params.dtype), self.v.astype(params.dtype)
+            self._scratch = np.empty_like(self._scratch, dtype=params.dtype)
         self.t += 1
         bc1 = 1.0 - BETA1**self.t
         bc2 = 1.0 - BETA2**self.t
-        m, v = self.m, self.v
+        # params -= lr*(m/bc1) / (sqrt(v/bc2) + EPS), evaluated in that order
+        # into two preallocated buffers: no step allocates a model-sized array
+        m, v, (a, b) = self.m, self.v, self._scratch
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += np.multiply(g, 1.0 - BETA1, out=a)
         v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
-        params -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        v += np.multiply(np.multiply(g, g, out=a), 1.0 - BETA2, out=a)
+        np.multiply(np.divide(m, bc1, out=a), self.lr, out=a)
+        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), EPS, out=b)
+        params -= np.divide(a, b, out=a)

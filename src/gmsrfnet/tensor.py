@@ -18,6 +18,7 @@ import itertools
 import threading
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import NumericsError, ShapeError, StateError, UsageError
 
@@ -185,76 +186,117 @@ def _check_same_shape(op, x, y):
         raise ShapeError(f"{op}: shapes {x.shape} and {y.shape} differ")
 
 
-def _pad(a, p):
-    """Zero-pad both spatial axes by p on each side; a negative p crops."""
-    if p < 0:
-        return a[:, :, -p : a.shape[2] + p, -p : a.shape[3] + p]
-    if p == 0:
-        return a
-    n, c, h, w = a.shape
-    out = np.zeros((n, c, h + 2 * p, w + 2 * p), a.dtype)
-    out[:, :, p : p + h, p : p + w] = a
-    return out
-
-
-def _im2col(xp, k, stride, dilation, out_h, out_w):
-    """Gather sliding windows of a padded input into (N, C, k, k, out_h, out_w)."""
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, k, k, out_h, out_w), xp.dtype)
-    for u in range(k):
-        for v in range(k):
-            cols[:, :, u, v] = xp[
-                :, :,
-                u * dilation : u * dilation + (out_h - 1) * stride + 1 : stride,
-                v * dilation : v * dilation + (out_w - 1) * stride + 1 : stride,
-            ]
-    return cols
-
-
 # -- convolution --------------------------------------------------------------
 #
 # Three array-level kernels hold all convolution numerics for a square
 # kernel of shape (Cout, Cin, K, K): the forward, its adjoint (the input
-# gradient, itself one stride-1 call of the forward) and the weight gradient.
+# gradient, itself one stride-1 correlation) and the weight gradient.
 # conv2d records the forward, conv_transpose2d (its adjoint) records the
 # adjoint, and each op's backward runs the other two.
+#
+# Apart from the 1x1/s1/p0 channel matmul, all three correlate over a
+# channel-major zero-padded buffer (Cin, N, hp, wp) from _place. At stride 1,
+# tap (u, v) reads the flat buffer's slice at (u*wp + v)*d: the output is
+# the sum over taps of W[:, :, u, v] @ slice on the padded-width grid,
+# cropped once, and the weight gradient multiplies the same slices by g laid
+# on that grid (kn2row; Anderson, Vasileiadis & Gregg 2017, arXiv:1709.03395),
+# each one matmul over a strided view. Its K*K partial products (Cout x
+# N*hp*wp each) outweigh im2col's columns (Cin x N*out_h*out_w each) when a
+# correlation widens the channels or pads a small map; those, and strided
+# ones, use im2col. A conv node keeps neither columns nor buffer.
+
+
+def _place(a, hp, wp, offset=0, step=1):
+    """Zero buffer (C, N, hp, wp) holding pixel (i, j) of the (N, C, H, W)
+    array a at (offset + i*step, offset + j*step). Pixels that land outside
+    are dropped, so a negative offset crops."""
+    n, c, h, w = a.shape
+    out = np.zeros((c, n, hp, wp), a.dtype)
+    first = max(0, -(offset // step))
+    start = offset + first * step
+    rows = max(0, min(h, (hp - 1 - offset) // step + 1) - first)
+    cols = max(0, min(w, (wp - 1 - offset) // step + 1) - first)
+    out[:, :, start : start + rows * step : step, start : start + cols * step : step] = (
+        a[:, :, first : first + rows, first : first + cols].transpose(1, 0, 2, 3))
+    return out
+
+
+def _shift_taps(xp, k, dilation):
+    """Read-only (K, K, C, width) view of a buffer whose [u, v] entry is the
+    flat slice tap (u, v) reads, width being the length of the padded-width
+    output grid at stride 1."""
+    c, n, hp, wp = xp.shape
+    width = n * hp * wp - dilation * (k - 1) * (wp + 1)
+    sc, _, sh, sw = xp.strides
+    return as_strided(xp, (k, k, c, width), (sh * dilation, sw * dilation, sc, sw), writeable=False)
+
+
+def _im2col(xp, k, stride, dilation, out_h, out_w):
+    """Copy a buffer's sliding windows into (C*K*K, N*out_h*out_w) columns."""
+    c, n = xp.shape[:2]
+    sc, sn, sh, sw = xp.strides
+    windows = as_strided(xp, (c, k, k, n, out_h, out_w),
+                         (sc, sh * dilation, sw * dilation, sn, sh * stride, sw * stride),
+                         writeable=False)
+    return windows.reshape(c * k * k, n * out_h * out_w)
+
+
+def _correlate(xp, w, stride, dilation, out_h, out_w):
+    """Correlate a _place buffer with w (Cout, Cin, K, K) into (N, Cout, out_h, out_w)."""
+    n, hp, wp = xp.shape[1:]
+    cout, cin, k, _ = w.shape
+    if stride > 1 or cout * hp * wp > cin * out_h * out_w:
+        y = np.matmul(w.reshape(cout, -1), _im2col(xp, k, stride, dilation, out_h, out_w))
+        y = y.reshape(cout, n, out_h, out_w)
+    else:
+        taps = _shift_taps(xp, k, dilation)
+        y = np.empty((cout, n * hp * wp), xp.dtype)
+        np.matmul(w.transpose(2, 3, 0, 1), taps).sum(axis=(0, 1), out=y[:, : taps.shape[3]])
+        y = y.reshape(cout, n, hp, wp)[:, :, :out_h, :out_w]
+    return np.ascontiguousarray(y.transpose(1, 0, 2, 3))
 
 
 def _conv_forward(x, w, stride, padding, dilation, out_h, out_w):
-    """Correlate x with w into (N, Cout, out_h, out_w); also returns the
-    (N, Cin*K*K, out_h*out_w) columns the weight gradient needs. A 1x1
-    kernel at stride 1 without padding is a channel matmul with no gather."""
+    """Correlate x with w into (N, Cout, out_h, out_w). A 1x1 kernel at
+    stride 1 without padding is a channel matmul over x itself."""
     n, cin, h, wd = x.shape
     cout, _, k, _ = w.shape
     if k == 1 and stride == 1 and padding == 0:
-        cols = x.reshape(n, cin, h * wd)
-    else:
-        cols = _im2col(_pad(x, padding), k, stride, dilation, out_h, out_w)
-        cols = cols.reshape(n, cin * k * k, out_h * out_w)
-    return np.matmul(w.reshape(cout, -1), cols).reshape(n, cout, out_h, out_w), cols
+        return np.matmul(w.reshape(cout, cin), x.reshape(n, cin, h * wd)).reshape(n, cout, h, wd)
+    xp = _place(x, h + 2 * padding, wd + 2 * padding, padding)
+    return _correlate(xp, w, stride, dilation, out_h, out_w)
 
 
 def _conv_adjoint(g, w, stride, padding, dilation, h, wd):
     """Adjoint of _conv_forward: maps g (N, Cout, out_h, out_w) onto an
-    (N, Cin, h, wd) input. At stride s > 1, g's pixels are first spread s
-    apart over zeros; the result correlates at stride 1 with the spatially
-    flipped, channel-transposed kernel under padding d*(K-1) - p, which
-    crops when negative (Dumoulin & Visin 2016, arXiv:1603.07285, sec. 4)."""
-    span = dilation * (w.shape[2] - 1)
-    if stride > 1:
-        n, cout = g.shape[:2]
-        spread = np.zeros((n, cout, h + 2 * padding - span, wd + 2 * padding - span), g.dtype)
-        spread[:, :, ::stride, ::stride] = g
-        g = spread
+    (N, Cin, h, wd) input. g's pixels are placed s apart in a buffer padded
+    by d*(K-1) - p, which crops when negative, and correlated at stride 1
+    with the spatially flipped, channel-transposed kernel (Dumoulin & Visin
+    2016, arXiv:1603.07285, sec. 4)."""
+    k = w.shape[2]
     w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    return _conv_forward(g, w_flip, 1, span - padding, dilation, h, wd)[0]
+    if k == 1 and stride == 1 and padding == 0:
+        return _conv_forward(g, w_flip, 1, 0, 1, h, wd)
+    span = dilation * (k - 1)
+    gp = _place(g, h + span, wd + span, span - padding, stride)
+    return _correlate(gp, w_flip, 1, dilation, h, wd)
 
 
-def _conv_weight_grad(g, cols, w_shape):
-    """Weight gradient from an output-shaped g and _conv_forward's columns."""
-    n, cout = g.shape[:2]
-    g_w = np.matmul(g.reshape(n, cout, -1), cols.transpose(0, 2, 1))
-    return g_w.sum(axis=0).reshape(w_shape)
+def _conv_weight_grad(g, x, stride, padding, dilation, w_shape):
+    """Weight gradient of _conv_forward from its input x and an output-shaped g."""
+    n, cin, h, wd = x.shape
+    cout, _, k, _ = w_shape
+    if k == 1 and stride == 1 and padding == 0:
+        g_w = np.matmul(g.reshape(n, cout, -1), x.reshape(n, cin, -1).transpose(0, 2, 1))
+        return g_w.sum(axis=0).reshape(w_shape)
+    xp = _place(x, h + 2 * padding, wd + 2 * padding, padding)
+    if stride > 1:
+        cols = _im2col(xp, k, stride, dilation, *g.shape[2:])
+        return np.matmul(g.transpose(1, 0, 2, 3).reshape(cout, -1), cols.T).reshape(w_shape)
+    taps = _shift_taps(xp, k, dilation)
+    g_grid = _place(g, *xp.shape[2:]).reshape(cout, -1)[:, : taps.shape[3]]
+    g_w = np.matmul(g_grid, taps.transpose(0, 1, 3, 2))
+    return np.ascontiguousarray(g_w.transpose(2, 3, 0, 1))
 
 
 def _check_conv(op, x, weight, bias, cker, cout, out_h, out_w, stride, padding):
@@ -302,11 +344,11 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
     out_w = (w + 2 * padding - dilation * (kw - 1) - 1) // stride + 1
     _check_conv("conv2d", x, weight, bias, cin, cout, out_h, out_w, stride, padding)
     wd = weight.data
-    y, cols = _conv_forward(x.data, wd, stride, padding, dilation, out_h, out_w)
+    y = _conv_forward(x.data, wd, stride, padding, dilation, out_h, out_w)
 
     def grads(g):
         g_x = _conv_adjoint(g, wd, stride, padding, dilation, h, w) if x.requires_grad else None
-        return g_x, _conv_weight_grad(g, cols, wd.shape)
+        return g_x, _conv_weight_grad(g, x.data, stride, padding, dilation, wd.shape)
 
     return _record_conv(y, x, weight, bias, grads)
 
@@ -328,8 +370,8 @@ def conv_transpose2d(x, weight, bias=None, stride=1, padding=0):
     y = _conv_adjoint(x.data, wd, stride, padding, 1, out_h, out_w)
 
     def grads(g):
-        g_x, g_cols = _conv_forward(g, wd, stride, padding, 1, h, w)
-        return g_x, _conv_weight_grad(x.data, g_cols, wd.shape)
+        g_x = _conv_forward(g, wd, stride, padding, 1, h, w)
+        return g_x, _conv_weight_grad(x.data, g, stride, padding, 1, wd.shape)
 
     return _record_conv(y, x, weight, bias, grads)
 
