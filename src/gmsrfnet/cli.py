@@ -18,10 +18,10 @@ def main():
 
 
 @main.command("generate-data")
-@click.option("--spec", "spec_path", type=click.Path(exists=True), default=None,
+@click.option("--spec", "spec_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="CenterSpec JSON; defaults to the built-in center.")
 @click.option("--n", type=int, required=True, help="Number of samples.")
-@click.option("--out", "out_dir", type=click.Path(), required=True)
+@click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 @click.option("--size", type=int, default=64, show_default=True)
 @click.option("--split-ratios", default="0.8,0.1,0.1", show_default=True,
               help="train,val,test fractions; must sum to 1.")
@@ -41,9 +41,9 @@ def generate_data_cmd(spec_path, n, out_dir, size, split_ratios, split_seed):
 
 
 @main.command("train")
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True,
+@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), required=True,
               help="TrainConfig JSON.")
-@click.option("--data", "data_dir", type=click.Path(exists=True), required=True)
+@click.option("--data", "data_dir", type=click.Path(exists=True, file_okay=False), required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--log", "log_path", type=click.Path(), default=None)
 def train_cmd(config_path, data_dir, out_path, log_path):
@@ -61,8 +61,8 @@ def train_cmd(config_path, data_dir, out_path, log_path):
 
 
 @main.command("eval")
-@click.option("--ckpt", type=click.Path(exists=True), required=True)
-@click.option("--data", "data_dir", type=click.Path(exists=True), required=True)
+@click.option("--ckpt", type=click.Path(exists=True, dir_okay=False), required=True)
+@click.option("--data", "data_dir", type=click.Path(exists=True, file_okay=False), required=True)
 @click.option("--report", "report_base", type=click.Path(), required=True,
               help="Output base path; writes <base>.csv and <base>.json.")
 @click.option("--split", default="test", show_default=True,
@@ -84,9 +84,9 @@ def eval_cmd(ckpt, data_dir, report_base, split):
 
 
 @main.command("predict")
-@click.option("--ckpt", type=click.Path(exists=True), required=True)
-@click.option("--image", "image_path", type=click.Path(exists=True), required=True)
-@click.option("--out", "out_path", type=click.Path(), required=True)
+@click.option("--ckpt", type=click.Path(exists=True, dir_okay=False), required=True)
+@click.option("--image", "image_path", type=click.Path(exists=True, dir_okay=False), required=True)
+@click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 def predict_cmd(ckpt, image_path, out_path):
     """Segment one PPM image into a P5 mask at its native resolution."""
     predict(ckpt, image_path, out_path)
@@ -94,10 +94,10 @@ def predict_cmd(ckpt, image_path, out_path):
 
 
 @main.command("report")
-@click.option("--ckpt-a", type=click.Path(exists=True), required=True)
-@click.option("--ckpt-b", type=click.Path(exists=True), required=True)
-@click.option("--data-a", type=click.Path(exists=True), required=True)
-@click.option("--data-b", type=click.Path(exists=True), required=True)
+@click.option("--ckpt-a", type=click.Path(exists=True, dir_okay=False), required=True)
+@click.option("--ckpt-b", type=click.Path(exists=True, dir_okay=False), required=True)
+@click.option("--data-a", type=click.Path(exists=True, file_okay=False), required=True)
+@click.option("--data-b", type=click.Path(exists=True, file_okay=False), required=True)
 @click.option("--out", "out_base", type=click.Path(), required=True)
 def report_cmd(ckpt_a, ckpt_b, data_a, data_b, out_base):
     """Cross-center generalization table (2 models x source/unseen metrics)."""

@@ -125,50 +125,35 @@ def metrics(counts):
     )
 
 
-@dataclass
-class MetricRow:
-    id: str
-    dsc: float
-    iou: float
-    recall: float
-    precision: float
+# keys of MetricReport.means, one per Metrics field; mean IoU is "miou"
+MEAN_KEYS = ("dsc", "miou", "recall", "precision")
 
 
 @dataclass
 class MetricReport:
-    """Per-image metric rows plus dataset means for one evaluation run."""
+    """Per-image Metrics rows beside their ids, plus dataset means."""
 
     label: str
+    ids: list = field(default_factory=list)
     rows: list = field(default_factory=list)
 
     @property
     def means(self):
-        if not self.rows:
-            return {"dsc": 0.0, "miou": 0.0, "recall": 0.0, "precision": 0.0}
-        return {
-            "dsc": float(np.mean([r.dsc for r in self.rows])),
-            "miou": float(np.mean([r.iou for r in self.rows])),
-            "recall": float(np.mean([r.recall for r in self.rows])),
-            "precision": float(np.mean([r.precision for r in self.rows])),
-        }
+        return {key: float(np.mean([r[i] for r in self.rows])) if self.rows else 0.0
+                for i, key in enumerate(MEAN_KEYS)}
 
     def write_csv(self, path):
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
-            writer.writerow(["id", "dsc", "iou", "recall", "precision"])
-            for r in self.rows:
-                writer.writerow([r.id, f"{r.dsc:.6f}", f"{r.iou:.6f}",
-                                 f"{r.recall:.6f}", f"{r.precision:.6f}"])
+            writer.writerow(["id", *Metrics._fields])
+            for sample_id, r in zip(self.ids, self.rows):
+                writer.writerow([sample_id] + [f"{v:.6f}" for v in r])
 
     def write_json(self, path):
         doc = {
             "label": self.label,
             "means": self.means,
-            "rows": [
-                {"id": r.id, "dsc": r.dsc, "iou": r.iou,
-                 "recall": r.recall, "precision": r.precision}
-                for r in self.rows
-            ],
+            "rows": [{"id": sample_id, **r._asdict()} for sample_id, r in zip(self.ids, self.rows)],
         }
         with open(path, "w") as f:
             json.dump(doc, f, indent=2)
@@ -179,6 +164,6 @@ def build_report(ids, preds, targets, label):
     mIoU is the mean foreground IoU."""
     report = MetricReport(label=label)
     for sample_id, p, t in zip(ids, preds, targets):
-        m = metrics(confusion(p, t))
-        report.rows.append(MetricRow(sample_id, m.dsc, m.iou, m.recall, m.precision))
+        report.ids.append(sample_id)
+        report.rows.append(metrics(confusion(p, t)))
     return report

@@ -9,7 +9,6 @@ import json
 import math
 import os
 import tempfile
-import types
 import zlib
 from dataclasses import dataclass
 
@@ -207,15 +206,36 @@ def save_checkpoint(model, path):
         raise
 
 
-# init RNG of a model whose every value the checkpoint overwrites: no draws
-_NO_DRAWS = types.SimpleNamespace(normal=lambda loc, scale, size: np.zeros(size, np.float32))
+class _NoDraws:
+    """Init RNG of a model whose every value a checkpoint overwrites: zeros
+    for at most ``budget`` weight values, then CorruptionError (each bias or
+    batch-norm array follows a weight at least as large)."""
+
+    def __init__(self, budget):
+        self.budget = budget
+
+    def normal(self, loc, scale, size):
+        self.budget -= math.prod(size)
+        if self.budget < 0:
+            raise CorruptionError("checkpoint truncated in payload")
+        return np.zeros(size, np.float32)
+
+
+def _described_values(index):
+    """Values a header's tensor index describes; 0 if it is not an index."""
+    shapes = [e.get("shape") if isinstance(e, dict) else None
+              for e in (index.values() if isinstance(index, dict) else ())]
+    if all(isinstance(s, list) and all(type(d) is int for d in s) for s in shapes):
+        return sum(math.prod(s) for s in shapes)
+    return 0
 
 
 def load_checkpoint(path):
     """Rebuild a model from a checkpoint file. The header's tensor index must
     equal the index of the stored config's model, and the payload must be
     that long and match its CRC, all before the model's arena is allocated:
-    header values are only compared, never used to size or slice. The params
+    header values are only compared, never used to size or slice, and a
+    config larger than the payload fails before its model is. The params
     and buffers blocks are each copied into the arena in one step."""
     with open(path, "rb") as f:
         blob = f.read()
@@ -247,9 +267,14 @@ def load_checkpoint(path):
         if zlib.crc32(payload) != int.from_bytes(blob[-4:], "little"):
             raise CorruptionError("checkpoint payload CRC mismatch")
 
-    # the model's init arrays are _NO_DRAWS zeros whose pages nothing touches;
-    # the arena, which writes every byte, is only allocated once check passes
-    model = SegmentationModel(config, rng=_NO_DRAWS)
+    # the model's init arrays are zeros, no more than the payload holds; the
+    # arena, which writes every byte, is only allocated once check passes
+    try:
+        model = SegmentationModel(config, rng=_NoDraws(len(payload) // 4))
+    except CorruptionError:  # truncated only if its own index says so
+        if _described_values(index) > len(payload) // 4:
+            raise
+        raise FormatError("checkpoint tensor index does not match the config's tensors") from None
     model._arena = arena = Arena(model, check)
     count = arena.params.size
     arena.params[...] = np.frombuffer(payload, "<f4", count=count)

@@ -188,22 +188,23 @@ def _check_same_shape(op, x, y):
 
 # -- convolution --------------------------------------------------------------
 #
-# Three array-level kernels hold all convolution numerics for a square
-# kernel of shape (Cout, Cin, K, K): the forward, its adjoint (the input
-# gradient, itself one stride-1 correlation) and the weight gradient.
-# conv2d records the forward, conv_transpose2d (its adjoint) records the
-# adjoint, and each op's backward runs the other two.
+# _correlate computes every forward and input gradient of a square kernel
+# (Cout, Cin, K, K), _conv_weight_grad every weight gradient. An input
+# gradient, and so a transposed conv, correlates g placed s apart in a zero
+# buffer padded by d*(K-1) - p with _flip(w) (Dumoulin & Visin 2016,
+# arXiv:1603.07285, sec. 4): conv2d's backward runs _correlate(g, _flip(w),
+# d*(K-1) - p, s, 1, d), and conv_transpose2d swaps its two correlations.
 #
-# Apart from the 1x1/s1/p0 channel matmul, all three correlate over a
-# channel-major zero-padded buffer (Cin, N, hp, wp) from _place. At stride 1,
-# tap (u, v) reads the flat buffer's slice at (u*wp + v)*d: the output is
-# the sum over taps of W[:, :, u, v] @ slice on the padded-width grid,
-# cropped once, and the weight gradient multiplies the same slices by g laid
-# on that grid (kn2row; Anderson, Vasileiadis & Gregg 2017, arXiv:1709.03395),
-# each one matmul over a strided view. Its K*K partial products (Cout x
-# N*hp*wp each) outweigh im2col's columns (Cin x N*out_h*out_w each) when a
-# correlation widens the channels or pads a small map; those, and strided
-# ones, use im2col. A conv node keeps neither columns nor buffer.
+# A 1x1 kernel without padding is a channel matmul over the input read s
+# apart. Otherwise the input is placed in a channel-major zero buffer
+# (Cin, N, hp, wp). At stride 1, tap (u, v) reads the flat buffer's slice at
+# (u*wp + v)*d: the output is the sum over taps of W[:, :, u, v] @ slice on
+# the padded-width grid, cropped once, and the weight gradient multiplies the
+# same slices by g laid on that grid (kn2row; Anderson, Vasileiadis & Gregg
+# 2017, arXiv:1709.03395), each one matmul over a strided view. im2col
+# serves strided correlations and those whose K*K partial products
+# (Cout x N*hp*wp each) outweigh its columns (Cin x N*out_h*out_w each).
+# A conv node keeps neither columns nor buffer.
 
 
 def _place(a, hp, wp, offset=0, step=1):
@@ -241,10 +242,23 @@ def _im2col(xp, k, stride, dilation, out_h, out_w):
     return windows.reshape(c * k * k, n * out_h * out_w)
 
 
-def _correlate(xp, w, stride, dilation, out_h, out_w):
-    """Correlate a _place buffer with w (Cout, Cin, K, K) into (N, Cout, out_h, out_w)."""
-    n, hp, wp = xp.shape[1:]
+def _flip(w):
+    """The spatially flipped, channel-transposed kernel of the adjoint."""
+    return w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+
+
+def _correlate(a, w, offset, step, stride, dilation, out_h, out_w):
+    """Correlate w (Cout, Cin, K, K) over the (N, Cin, H, W) array a, its
+    pixels placed step apart from offset in a zero buffer (_place), into
+    (N, Cout, out_h, out_w)."""
+    n = a.shape[0]
     cout, cin, k, _ = w.shape
+    if k == 1 and offset == 0 and step == 1:
+        a = a[:, :, ::stride, ::stride].reshape(n, cin, -1)
+        return np.matmul(w.reshape(cout, cin), a).reshape(n, cout, out_h, out_w)
+    span = dilation * (k - 1)
+    hp, wp = (out_h - 1) * stride + span + 1, (out_w - 1) * stride + span + 1
+    xp = _place(a, hp, wp, offset, step)
     if stride > 1 or cout * hp * wp > cin * out_h * out_w:
         y = np.matmul(w.reshape(cout, -1), _im2col(xp, k, stride, dilation, out_h, out_w))
         y = y.reshape(cout, n, out_h, out_w)
@@ -256,38 +270,13 @@ def _correlate(xp, w, stride, dilation, out_h, out_w):
     return np.ascontiguousarray(y.transpose(1, 0, 2, 3))
 
 
-def _conv_forward(x, w, stride, padding, dilation, out_h, out_w):
-    """Correlate x with w into (N, Cout, out_h, out_w). A 1x1 kernel at
-    stride 1 without padding is a channel matmul over x itself."""
-    n, cin, h, wd = x.shape
-    cout, _, k, _ = w.shape
-    if k == 1 and stride == 1 and padding == 0:
-        return np.matmul(w.reshape(cout, cin), x.reshape(n, cin, h * wd)).reshape(n, cout, h, wd)
-    xp = _place(x, h + 2 * padding, wd + 2 * padding, padding)
-    return _correlate(xp, w, stride, dilation, out_h, out_w)
-
-
-def _conv_adjoint(g, w, stride, padding, dilation, h, wd):
-    """Adjoint of _conv_forward: maps g (N, Cout, out_h, out_w) onto an
-    (N, Cin, h, wd) input. g's pixels are placed s apart in a buffer padded
-    by d*(K-1) - p, which crops when negative, and correlated at stride 1
-    with the spatially flipped, channel-transposed kernel (Dumoulin & Visin
-    2016, arXiv:1603.07285, sec. 4)."""
-    k = w.shape[2]
-    w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    if k == 1 and stride == 1 and padding == 0:
-        return _conv_forward(g, w_flip, 1, 0, 1, h, wd)
-    span = dilation * (k - 1)
-    gp = _place(g, h + span, wd + span, span - padding, stride)
-    return _correlate(gp, w_flip, 1, dilation, h, wd)
-
-
 def _conv_weight_grad(g, x, stride, padding, dilation, w_shape):
-    """Weight gradient of _conv_forward from its input x and an output-shaped g."""
+    """Weight gradient of the correlation of x from an output-shaped g."""
     n, cin, h, wd = x.shape
     cout, _, k, _ = w_shape
-    if k == 1 and stride == 1 and padding == 0:
-        g_w = np.matmul(g.reshape(n, cout, -1), x.reshape(n, cin, -1).transpose(0, 2, 1))
+    if k == 1 and padding == 0:
+        x = x[:, :, ::stride, ::stride].reshape(n, cin, -1)
+        g_w = np.matmul(g.reshape(n, cout, -1), x.transpose(0, 2, 1))
         return g_w.sum(axis=0).reshape(w_shape)
     xp = _place(x, h + 2 * padding, wd + 2 * padding, padding)
     if stride > 1:
@@ -344,10 +333,11 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
     out_w = (w + 2 * padding - dilation * (kw - 1) - 1) // stride + 1
     _check_conv("conv2d", x, weight, bias, cin, cout, out_h, out_w, stride, padding)
     wd = weight.data
-    y = _conv_forward(x.data, wd, stride, padding, dilation, out_h, out_w)
+    y = _correlate(x.data, wd, padding, 1, stride, dilation, out_h, out_w)
 
     def grads(g):
-        g_x = _conv_adjoint(g, wd, stride, padding, dilation, h, w) if x.requires_grad else None
+        g_x = (_correlate(g, _flip(wd), dilation * (kh - 1) - padding, stride, 1, dilation, h, w)
+               if x.requires_grad else None)
         return g_x, _conv_weight_grad(g, x.data, stride, padding, dilation, wd.shape)
 
     return _record_conv(y, x, weight, bias, grads)
@@ -367,10 +357,10 @@ def conv_transpose2d(x, weight, bias=None, stride=1, padding=0):
     out_w = (w - 1) * stride - 2 * padding + kw
     _check_conv("conv_transpose2d", x, weight, bias, cin, cout, out_h, out_w, stride, padding)
     wd = weight.data
-    y = _conv_adjoint(x.data, wd, stride, padding, 1, out_h, out_w)
+    y = _correlate(x.data, _flip(wd), kh - 1 - padding, stride, 1, 1, out_h, out_w)
 
     def grads(g):
-        g_x = _conv_forward(g, wd, stride, padding, 1, h, w)
+        g_x = _correlate(g, wd, padding, 1, stride, 1, h, w)
         return g_x, _conv_weight_grad(x.data, g, stride, padding, 1, wd.shape)
 
     return _record_conv(y, x, weight, bias, grads)

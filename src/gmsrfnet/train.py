@@ -16,7 +16,7 @@ from .data import augment, read_pnm, resize_image, resize_mask, write_pnm
 from .errors import (
     ConfigError, FormatError, NumericsError, UsageError, check_fields, config_fields, read_json,
 )
-from .losses import THRESHOLD, build_report, total_loss
+from .losses import MEAN_KEYS, THRESHOLD, build_report, total_loss
 from .network import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from .optim import Adam
 from .tensor import Tensor, backward, no_grad
@@ -78,6 +78,15 @@ class TrainResult:
     best_path: str | None
 
 
+def _check_sizes(dataset, size):
+    """Raise FormatError unless every image and mask is size x size."""
+    for s in dataset:
+        for what, arr in (("image", s.image), ("mask", s.mask)):
+            if arr.shape[1:] != (size, size):
+                raise FormatError(f"sample {s.id}: {what} has size {arr.shape[1:]}, "
+                                  f"model expects {size}x{size}")
+
+
 def _stack_batch(samples):
     images = np.stack([s.image for s in samples]).astype(np.float32)
     masks = np.stack([s.mask for s in samples]).astype(np.float32)
@@ -106,7 +115,9 @@ def train(cfg, train_set, val_set=None, out_path=None, log_path=None):
     given, the best-validation-DSC checkpoint at out_path + ".best". A
     NumericsError aborts after re-saving the parameters from the last
     completed step. An out_path or log_path that is a directory, or whose
-    directory is missing, raises UsageError before the model is built.
+    directory is missing, raises UsageError before the model is built, and
+    an image or mask in either set that is not input_size square raises
+    FormatError.
     """
     for what, path in (("out_path", out_path), ("log_path", log_path)):
         if path and os.path.isdir(path):
@@ -115,12 +126,8 @@ def train(cfg, train_set, val_set=None, out_path=None, log_path=None):
             raise UsageError(f"{what} {path!r} is in a directory that does not exist")
     if len(train_set) == 0:
         raise ConfigError("training set is empty")
-    size = cfg.model.input_size
-    for s in train_set:
-        if s.image.shape[1:] != (size, size):
-            raise FormatError(
-                f"sample {s.id} has size {s.image.shape[1:]}, model expects {size}x{size}"
-            )
+    for dataset in (train_set, val_set or ()):
+        _check_sizes(dataset, cfg.model.input_size)
 
     model = build_model(cfg.model)
     adam = Adam(model.arena, cfg.lr)
@@ -207,12 +214,7 @@ def evaluate(checkpoint, dataset, out_base=None, label=""):
     """Evaluate a checkpoint (path or loaded model) on a dataset; optionally
     write <out_base>.csv and <out_base>.json."""
     model = load_checkpoint(checkpoint) if isinstance(checkpoint, (str, os.PathLike)) else checkpoint
-    size = model.config.input_size
-    for s in dataset:
-        if s.image.shape[1:] != (size, size):
-            raise FormatError(
-                f"sample {s.id} has size {s.image.shape[1:]}, checkpoint expects {size}x{size}"
-            )
+    _check_sizes(dataset, model.config.input_size)
     report = evaluate_model(model, dataset, label or dataset.center_id)
     if out_base:
         report.write_csv(out_base + ".csv")
@@ -257,14 +259,11 @@ def generalization_report(model_a, model_b, data_a, data_b, out_base=None):
     ):
         src = evaluate_model(model, source, label="source").means
         uns = evaluate_model(model, unseen, label="unseen").means
-        rows.append({
-            "model": name,
-            "source_dsc": src["dsc"], "source_miou": src["miou"],
-            "source_recall": src["recall"], "source_precision": src["precision"],
-            "unseen_dsc": uns["dsc"], "unseen_miou": uns["miou"],
-            "unseen_recall": uns["recall"], "unseen_precision": uns["precision"],
-            "gap_dsc": src["dsc"] - uns["dsc"],
-        })
+        row = {"model": name}
+        for part, means in (("source", src), ("unseen", uns)):
+            row.update((f"{part}_{key}", means[key]) for key in MEAN_KEYS)
+        row["gap_dsc"] = src["dsc"] - uns["dsc"]
+        rows.append(row)
 
     if out_base:
         fields = list(rows[0].keys())

@@ -172,6 +172,56 @@ class TestTrainEvalPredict:
         assert sorted(base.rglob("*")) == before
 
 
+# Each command's path options with the kind of path each takes, and the other
+# arguments it needs; "{tmp}" stands for the test's scratch directory.
+PATH_OPTIONS = {
+    "generate-data": (["--n", "2"], {"--spec": "file", "--out": "dir"}),
+    "train": (["--out", "{tmp}/m.ckpt"], {"--config": "file", "--data": "dir"}),
+    "eval": (["--report", "{tmp}/r"], {"--ckpt": "file", "--data": "dir"}),
+    "predict": ([], {"--ckpt": "file", "--image": "file", "--out": "file"}),
+    "report": (["--out", "{tmp}/g"],
+               {"--ckpt-a": "file", "--ckpt-b": "file", "--data-a": "dir", "--data-b": "dir"}),
+}
+
+
+def path_option_cases(kind):
+    return [(command, option) for command, (_, options) in PATH_OPTIONS.items()
+            for option, k in options.items() if k == kind]
+
+
+def invoke_with_wrong_kind(runner, tmp_path, command, wrong):
+    """Run command with existing paths of the right kind on every path option
+    but ``wrong``, which gets the other kind."""
+    paths = {"file": tmp_path / "a.file", "dir": tmp_path / "a.dir"}
+    paths["file"].write_text("x")
+    paths["dir"].mkdir()
+    extra, options = PATH_OPTIONS[command]
+    args = [command] + [a.format(tmp=tmp_path) for a in extra]
+    for option, kind in options.items():
+        if option == wrong:
+            kind = "dir" if kind == "file" else "file"
+        args += [option, str(paths[kind])]
+    return runner.invoke(main, args)
+
+
+class TestPathOptions:
+    @pytest.mark.parametrize("command, option", path_option_cases("file"))
+    def test_file_option_given_a_directory_is_a_usage_error(self, runner, tmp_path,
+                                                            command, option):
+        result = invoke_with_wrong_kind(runner, tmp_path, command, option)
+        assert result.exit_code == 2, result.output
+        assert option in result.output and "is a directory" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("command, option", path_option_cases("dir"))
+    def test_directory_option_given_a_file_is_a_usage_error(self, runner, tmp_path,
+                                                            command, option):
+        result = invoke_with_wrong_kind(runner, tmp_path, command, option)
+        assert result.exit_code == 2, result.output
+        assert option in result.output and "is a file" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+
 class TestGradcheckCommand:
     def test_op_scope_exit_zero(self, runner):
         result = runner.invoke(main, ["gradcheck", "--scope", "op"])

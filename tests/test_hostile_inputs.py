@@ -3,10 +3,12 @@ headers give a value or a GmsrfError subclass, never a bare Python or numpy
 exception."""
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -27,13 +29,13 @@ from gmsrfnet.data import (
 from gmsrfnet.blocks import Arena
 from gmsrfnet.errors import ConfigError, CorruptionError, FormatError
 from gmsrfnet.network import (
-    _NO_DRAWS,
     CHECKPOINT_MAGIC,
     ModelConfig,
     SegmentationModel,
     build_model,
     load_checkpoint,
     _index,
+    _NoDraws,
     save_checkpoint,
 )
 from gmsrfnet.train import TrainConfig
@@ -210,7 +212,7 @@ def index_of(config):
         raise Walked(_index(names, shapes))
 
     with pytest.raises(Walked) as walked:
-        Arena(SegmentationModel(config, rng=_NO_DRAWS), stop)
+        Arena(SegmentationModel(config, rng=_NoDraws(math.inf)), stop)
     return walked.value.args[0]
 
 
@@ -251,6 +253,26 @@ class TestCheckpointHeader:
         path = write_checkpoint(tmp_path / "big.ckpt", BIG.to_dict(),
                                 {"w": {"shape": [1], "offset": 0}}, bytes(4))
         assert peak_rss_mb_of_failed_load(path, "FormatError") < 200
+
+    @pytest.mark.parametrize("index, error", [({}, FormatError),
+                                              ({"w": {"shape": [10**9], "offset": 0}},
+                                               CorruptionError)])
+    def test_config_outgrowing_the_payload_refused_before_its_model(self, micro_checkpoint,
+                                                                    tmp_path, index, error):
+        # MICRO's payload with a config whose weights take ~0.2 GB: its
+        # zero placeholders are never allocated, whatever the index says
+        config = dict(MICRO.to_dict(), growth=64, layers_per_module=16)
+        header = json.dumps({"config": config, "tensors": index}).encode()
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(replace_header(header)(micro_checkpoint))
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(micro_checkpoint) + 2**20
 
     def test_short_payload_refused_before_allocation(self, tmp_path):
         # the index is the one a ~61M-value model writes; the payload holds 4 bytes

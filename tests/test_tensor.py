@@ -21,6 +21,14 @@ def t(data, **kw):
     return Tensor(arr, **kw)
 
 
+def count_calls(monkeypatch, name):
+    """Record every call of the tensor module's private helper ``name``."""
+    calls = []
+    fn = getattr(T, name)
+    monkeypatch.setattr(T, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
+
+
 class TestTensorType:
     def test_rejects_non_4d(self):
         with pytest.raises(ShapeError):
@@ -101,18 +109,31 @@ class TestConv2d:
         np.testing.assert_allclose(x.grad, expected, rtol=1e-12, atol=1e-12)
 
     def test_input_without_grad_runs_no_adjoint(self, monkeypatch):
-        calls = []
-        adjoint = T._conv_adjoint
-        monkeypatch.setattr(T, "_conv_adjoint", lambda *a: calls.append(a) or adjoint(*a))
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(2, 3, 7, 7)), dtype=np.float64)
         w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True, dtype=np.float64)
         y = T.conv2d(x, w, stride=2, padding=1)
         g = rng.normal(size=y.shape)
-        backward(T.reduce_sum(T.mul(y, Tensor(g))))
+        loss = T.reduce_sum(T.mul(y, Tensor(g)))
+        calls = count_calls(monkeypatch, "_correlate")
+        backward(loss)
         assert calls == [] and x.grad is None
         expected = reference.conv2d_weight_grad_loops(x.data, g, w.shape, 2, 1)
         np.testing.assert_allclose(w.grad, expected, rtol=1e-12, atol=1e-12)
+
+    def test_strided_1x1_is_a_channel_matmul(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(2, 3, 7, 7)), dtype=np.float64)
+        w = Tensor(rng.normal(size=(5, 3, 1, 1)), requires_grad=True, dtype=np.float64)
+        placed, cols = count_calls(monkeypatch, "_place"), count_calls(monkeypatch, "_im2col")
+        y = T.conv2d(x, w, stride=2)
+        np.testing.assert_allclose(y.data, reference.conv2d_loops(x.data, w.data, stride=2),
+                                   rtol=1e-12, atol=1e-12)
+        g = rng.normal(size=y.shape)
+        backward(T.reduce_sum(T.mul(y, Tensor(g))))
+        expected = reference.conv2d_weight_grad_loops(x.data, g, w.shape, 2, 0)
+        np.testing.assert_allclose(w.grad, expected, rtol=1e-12, atol=1e-12)
+        assert placed == [] and cols == []
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -147,13 +168,6 @@ SHIFT_GEOMETRIES = {
 }
 
 
-def count_im2col(monkeypatch):
-    calls = []
-    im2col = T._im2col
-    monkeypatch.setattr(T, "_im2col", lambda *a: calls.append(a[1:]) or im2col(*a))
-    return calls
-
-
 class TestShiftKernel:
     @pytest.mark.parametrize("name", sorted(SHIFT_GEOMETRIES))
     def test_forward_matches_nested_loop_oracle(self, name, monkeypatch):
@@ -161,7 +175,7 @@ class TestShiftKernel:
         rng = np.random.default_rng(sorted(SHIFT_GEOMETRIES).index(name))
         x = Tensor(rng.normal(size=(n, wide, h, w)).astype(np.float32))
         wt = Tensor(rng.normal(size=(narrow, wide, k, k)).astype(np.float32))
-        calls = count_im2col(monkeypatch)
+        calls = count_calls(monkeypatch, "_im2col")
         y = T.conv2d(x, wt, padding=padding, dilation=dilation)
         assert calls == []
         expected = reference.conv2d_loops(x.data, wt.data, padding=padding, dilation=dilation)
@@ -176,7 +190,7 @@ class TestShiftKernel:
         y = T.conv2d(x, wt, padding=padding, dilation=dilation)
         g = rng.normal(size=y.shape)
         loss = T.reduce_sum(T.mul(y, Tensor(g)))
-        calls = count_im2col(monkeypatch)
+        calls = count_calls(monkeypatch, "_im2col")
         backward(loss)
         assert calls == []
         expected = reference.conv2d_input_grad_loops(g, wt.data, x.shape, 1, padding, dilation)
@@ -188,7 +202,7 @@ class TestShiftKernel:
         rng = np.random.default_rng(20)
         x = Tensor(rng.normal(size=(3, 4, 5, 6)).astype(np.float32))
         w = Tensor(rng.normal(size=(4, 2, 4, 4)).astype(np.float32))
-        calls = count_im2col(monkeypatch)
+        calls = count_calls(monkeypatch, "_im2col")
         y = T.conv_transpose2d(x, w, stride=2, padding=1)
         assert calls == []
         expected = reference.conv_transpose2d_loops(x.data, w.data, stride=2, padding=1)

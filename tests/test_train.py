@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gmsrfnet.data import (
+    Dataset,
     default_center_a,
     default_center_b,
     generate_center,
@@ -153,6 +154,21 @@ class TestTrainLoop:
         with pytest.raises(FormatError):
             train(tiny_config(), ds, None, str(tmp_path / "m.ckpt"))
 
+    @pytest.mark.parametrize("which", ["train", "val"])
+    @pytest.mark.parametrize("mask_only", [False, True])
+    def test_off_size_sample_rejected_before_training(self, which, mask_only, tmp_path):
+        ds = generate_center(default_center_a(seed=77), 6, 32)
+        small = generate_center(default_center_a(seed=77), 1, 16)[0]
+        sets = {"train": Dataset(ds.samples[:4]), "val": Dataset(ds.samples[4:])}
+        bad = sets[which].samples[0]
+        bad.mask = small.mask
+        if not mask_only:
+            bad.image = small.image
+        out = tmp_path / "m.ckpt"
+        with pytest.raises(FormatError, match=f"{bad.id}: {'mask' if mask_only else 'image'}"):
+            train(tiny_config(), sets["train"], sets["val"], str(out))
+        assert not out.exists()
+
     def test_worker_threads_do_not_change_results(self, tiny_data, tmp_path):
         # per-sample seeding makes threaded augmentation order-independent
         train_set, _, _ = tiny_data
@@ -197,6 +213,10 @@ class TestEvaluate:
         wrong = generate_center(default_center_a(), 2, 64)
         with pytest.raises(FormatError):
             evaluate(out, wrong)
+        wrong = generate_center(default_center_a(), 2, 32)
+        wrong.samples[1].mask = generate_center(default_center_a(), 1, 16)[0].mask
+        with pytest.raises(FormatError, match="mask"):
+            evaluate(out, wrong)
 
     def test_metrics_match_confusion_oracle(self, tiny_data):
         import reference
@@ -207,9 +227,9 @@ class TestEvaluate:
         result = train(cfg, train_set, None)
         report = evaluate_model(result.model, test_set)
         preds = {s.id: p for s, p in zip(test_set, predict_maps(result.model, test_set))}
-        for row in report.rows:
-            sample = next(s for s in test_set if s.id == row.id)
-            tp, fp, fn, _ = reference.confusion_loops(preds[row.id], sample.mask)
+        for row_id, row in zip(report.ids, report.rows):
+            sample = next(s for s in test_set if s.id == row_id)
+            tp, fp, fn, _ = reference.confusion_loops(preds[row_id], sample.mask)
             dsc, iou, recall, precision = reference.metrics_loops(tp, fp, fn)
             assert row.dsc == dsc and row.iou == iou
             assert row.recall == recall and row.precision == precision
