@@ -308,8 +308,7 @@ def resize_image(image, out_h, out_w):
     """Bilinear resize of a (C, H, W) float array."""
     rm = interp_matrix(out_h, image.shape[1], np.float64)
     cm = interp_matrix(out_w, image.shape[2], np.float64)
-    out = np.einsum("oh,chw,pw->cop", rm, image.astype(np.float64), cm, optimize=True)
-    return out.astype(np.float32)
+    return (rm @ image.astype(np.float64) @ cm.T).astype(np.float32)
 
 
 def resize_mask(mask, out_h, out_w):

@@ -14,11 +14,11 @@ array shares one type.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import NumericsError, ShapeError, StateError, UsageError
 
@@ -229,17 +229,24 @@ def _shift_taps(xp, k, dilation):
     c, n, hp, wp = xp.shape
     width = n * hp * wp - dilation * (k - 1) * (wp + 1)
     sc, _, sh, sw = xp.strides
-    return as_strided(xp, (k, k, c, width), (sh * dilation, sw * dilation, sc, sw), writeable=False)
+    return _view(xp, (k, k, c, width), (sh * dilation, sw * dilation, sc, sw))
 
 
 def _im2col(xp, k, stride, dilation, out_h, out_w):
     """Copy a buffer's sliding windows into (C*K*K, N*out_h*out_w) columns."""
     c, n = xp.shape[:2]
     sc, sn, sh, sw = xp.strides
-    windows = as_strided(xp, (c, k, k, n, out_h, out_w),
-                         (sc, sh * dilation, sw * dilation, sn, sh * stride, sw * stride),
-                         writeable=False)
+    windows = _view(xp, (c, k, k, n, out_h, out_w),
+                    (sc, sh * dilation, sw * dilation, sn, sh * stride, sw * stride))
     return windows.reshape(c * k * k, n * out_h * out_w)
+
+
+def _view(buf, shape, strides):
+    """Read-only strided view of the contiguous array buf; the ndarray
+    constructor checks that it stays inside buf."""
+    v = np.ndarray(shape, buf.dtype, buf, 0, strides)
+    v.flags.writeable = False
+    return v
 
 
 def _flip(w):
@@ -314,7 +321,7 @@ def _record_conv(y, x, weight, bias, grads):
     y += bias.data
 
     def backward_fn(g):
-        return grads(g) + (g.sum(axis=(0, 2, 3)).reshape(bias.shape),)
+        return grads(g) + (_channel_sum(g),)
 
     return _record(y, [x, weight, bias], backward_fn)
 
@@ -483,13 +490,13 @@ def leaky_relu(x, alpha=LEAKY_ALPHA):
 
 
 def sigmoid(x):
-    """Numerically stable logistic; outputs clamped into the open (0, 1)."""
+    """Numerically stable logistic; outputs clamped into the open (0, 1).
+    With e = exp(-|z|), 1/(1+e) for z >= 0 and e/(1+e) below: exp never
+    overflows."""
     z = x.data
-    y = np.empty_like(z)
-    pos = z >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    y[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))
+    y = np.where(z >= 0, 1, e)
+    y /= 1 + e
     info = np.finfo(z.dtype)
     np.clip(y, info.tiny, 1.0 - info.epsneg, out=y)
 
@@ -504,6 +511,16 @@ def sigmoid(x):
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+
+
+def _channel_sum(a, b=None):
+    """Per-channel sum over N, H and W of a, or of a*b, as (1, C, 1, 1)."""
+    n, c = a.shape[:2]
+    if b is None:
+        s = np.einsum("nci->c", a.reshape(n, c, -1))
+    else:
+        s = np.einsum("nci,nci->c", a.reshape(n, c, -1), b.reshape(n, c, -1))
+    return s.reshape(1, c, 1, 1)
 
 
 def batch_norm(x, gamma, beta, state, training, act="linear"):
@@ -537,9 +554,9 @@ def batch_norm(x, gamma, beta, state, training, act="linear"):
     dt = x.data.dtype.type
     count = n * h * w
     if training:
-        mean = x.data.mean(axis=(0, 2, 3), keepdims=True)
+        mean = _channel_sum(x.data) / count
         xhat = x.data - mean
-        var = np.mean(xhat * xhat, axis=(0, 2, 3), keepdims=True)
+        var = _channel_sum(xhat, xhat) / count
         unbiased = var * (count / (count - 1)) if count > 1 else var
         m = dt(BN_MOMENTUM)
         state.running_mean *= 1 - m
@@ -563,8 +580,8 @@ def batch_norm(x, gamma, beta, state, training, act="linear"):
 
     def backward_fn(g):
         g_z = np.where(y > 0, g, g * slope) if leaky else g
-        g_beta = g_z.sum(axis=(0, 2, 3), keepdims=True)
-        g_gamma = (g_z * xhat).sum(axis=(0, 2, 3), keepdims=True)
+        g_beta = _channel_sum(g_z)
+        g_gamma = _channel_sum(g_z, xhat)
         k = gamma.data * inv_std
         g_x = g_z * k
         if training:
@@ -589,19 +606,22 @@ def global_avg_pool(x):
     return _record(y, [x], backward_fn)
 
 
+@functools.lru_cache(maxsize=64)
 def interp_matrix(n_out, n_in, dtype=np.float64):
-    """Half-pixel-center bilinear interpolation weights as (n_out, n_in)."""
+    """Half-pixel-center bilinear interpolation weights as a read-only
+    (n_out, n_in) array, cached per size and dtype."""
     m = np.zeros((n_out, n_in), dtype)
     if n_in == 1:
         m[:, 0] = 1
-        return m
-    pos = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
-    pos = np.clip(pos, 0.0, n_in - 1.0)
-    i0 = np.minimum(pos.astype(np.int64), n_in - 2)
-    t = (pos - i0).astype(dtype)
-    rows = np.arange(n_out)
-    m[rows, i0] += 1 - t
-    m[rows, i0 + 1] += t
+    else:
+        pos = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
+        pos = np.clip(pos, 0.0, n_in - 1.0)
+        i0 = np.minimum(pos.astype(np.int64), n_in - 2)
+        t = (pos - i0).astype(dtype)
+        rows = np.arange(n_out)
+        m[rows, i0] += 1 - t
+        m[rows, i0 + 1] += t
+    m.flags.writeable = False
     return m
 
 
@@ -612,10 +632,10 @@ def resize_bilinear(x, out_h, out_w):
     n, c, h, w = x.shape
     rm = interp_matrix(out_h, h, x.data.dtype)
     cm = interp_matrix(out_w, w, x.data.dtype)
-    y = np.einsum("oh,nchw,pw->ncop", rm, x.data, cm, optimize=True)
+    y = rm @ x.data @ cm.T
 
     def backward_fn(g):
-        return (np.einsum("oh,ncop,pw->nchw", rm, g, cm, optimize=True),)
+        return (rm.T @ g @ cm,)
 
     return _record(y, [x], backward_fn)
 

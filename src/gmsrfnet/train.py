@@ -231,10 +231,11 @@ def predict(checkpoint_path, image_path, out_mask_path):
     if image.shape[0] != 3:
         raise FormatError(f"{image_path}: expected a P6 color image")
     orig_h, orig_w = image.shape[1:]
-    resized = resize_image(image, size, size)
+    if (orig_h, orig_w) != (size, size):
+        image = resize_image(image, size, size)
     model.set_training(False)
     with no_grad():
-        maps = model(Tensor(resized[None]))
+        maps = model(Tensor(image[None]))
     prob = maps[-1].data[0, 0]
     write_pnm(resize_mask((prob >= THRESHOLD)[None].astype(np.float32), orig_h, orig_w),
               out_mask_path)

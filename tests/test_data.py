@@ -18,6 +18,7 @@ from gmsrfnet.data import (
     load_folder,
     read_pnm,
     render_sample,
+    resize_image,
     resize_mask,
     sample_transform,
     save_dataset,
@@ -25,6 +26,8 @@ from gmsrfnet.data import (
     write_pnm,
 )
 from gmsrfnet.errors import ConfigError, DataError, FormatError
+
+import reference
 
 
 class TestGeneration:
@@ -305,6 +308,16 @@ class TestFolderIo:
         (tmp_path / "masks" / f"{victim}.pgm").unlink()
         with pytest.raises(DataError, match=victim):
             load_folder(tmp_path, input_size=32)
+
+    @pytest.mark.parametrize("out_h,out_w", [(9, 4), (3, 11), (5, 7)])
+    def test_resize_image_matches_loop_oracle(self, out_h, out_w):
+        # computed in float64 within 1e-12 of the oracle, then rounded to float32
+        image = np.random.default_rng(3).uniform(0, 1, (3, 5, 7)).astype(np.float32)
+        expected = reference.bilinear_loops(image[None], out_h, out_w)[0]
+        out = resize_image(image, out_h, out_w)
+        assert out.dtype == np.float32
+        half_ulp = np.abs(np.spacing(expected.astype(np.float32))) / 2
+        assert np.all(np.abs(out - expected) <= half_ulp + 1e-12)
 
     def test_resized_to_input_size(self, tmp_path):
         ds = generate_center(default_center_a(), 3, 48)

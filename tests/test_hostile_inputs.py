@@ -68,7 +68,7 @@ def value_or_error(parse, arg, cls, error):
     assert isinstance(result, cls)
 
 
-SETTINGS = settings(max_examples=150, deadline=None)
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 class TestConfigs:
@@ -288,7 +288,7 @@ PNM_HEADERS = st.builds(
 
 
 class TestPnm:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.binary(max_size=40) | st.tuples(PNM_HEADERS, st.binary(max_size=80)).map(b"".join))
     def test_read_pnm(self, blob):
         with tempfile.TemporaryDirectory() as tmp:

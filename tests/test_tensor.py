@@ -1,5 +1,6 @@
 """Tensor core: op semantics, graph behavior, and gradient checking."""
 import tracemalloc
+import warnings
 import zlib
 
 import numpy as np
@@ -134,6 +135,18 @@ class TestConv2d:
         expected = reference.conv2d_weight_grad_loops(x.data, g, w.shape, 2, 0)
         np.testing.assert_allclose(w.grad, expected, rtol=1e-12, atol=1e-12)
         assert placed == [] and cols == []
+
+    @pytest.mark.parametrize("kernel,stride,padding", [(3, 1, 1), (1, 1, 0), (3, 2, 1)])
+    def test_bias_gradient_is_channel_sum_of_g(self, kernel, stride, padding):
+        rng = np.random.default_rng(10 * kernel + stride)
+        x = Tensor(rng.normal(size=(3, 2, 5, 7)), dtype=np.float64)
+        w = Tensor(rng.normal(size=(4, 2, kernel, kernel)), dtype=np.float64)
+        b = Tensor(rng.normal(size=(1, 4, 1, 1)), requires_grad=True, dtype=np.float64)
+        y = T.conv2d(x, w, b, stride=stride, padding=padding)
+        g = rng.normal(size=y.shape)
+        backward(T.reduce_sum(T.mul(y, Tensor(g))))
+        np.testing.assert_allclose(b.grad, g.sum(axis=(0, 2, 3), keepdims=True),
+                                   rtol=1e-12, atol=1e-12)
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -377,6 +390,26 @@ class TestActivations:
         y = T.sigmoid(x).data
         assert np.all(y > 0.0) and np.all(y < 1.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bitwise_equals_two_branch_formula(self, dtype):
+        info = np.finfo(dtype)
+        z = np.concatenate([
+            np.random.default_rng(14).normal(0.0, 30.0, 2000),
+            [0.0, -0.0, 1e4, -1e4, 88.7, -88.7, -745.0, 745.0, info.max, -info.max,
+             info.tiny, -info.tiny],
+        ]).astype(dtype)
+        pos = z >= 0
+        expected = np.empty_like(z)
+        expected[pos] = 1 / (1 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        expected[~pos] = ez / (1 + ez)
+        np.clip(expected, info.tiny, 1 - info.epsneg, out=expected)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = T.sigmoid(Tensor(z.reshape(1, 1, 1, -1))).data.ravel()
+        assert y.dtype == dtype
+        assert y.tobytes() == expected.tobytes()
+
 
 class TestBatchNorm:
     def test_two_value_normalization(self):
@@ -485,6 +518,34 @@ class TestBatchNorm:
         with pytest.raises(UsageError):
             T.batch_norm(x, T.vector([1.0]), T.vector([0.0]), BatchNorm2d(1), True, act=act)
 
+    @pytest.mark.parametrize("shape", [(1, 2, 3, 5), (3, 2, 4, 3)])
+    def test_float64_output_and_gradients_match_loop_oracle(self, shape):
+        # the oracle's gradients are its central differences, probed like
+        # max_grad_error: step 1e-6*max(1, |v|), error relative to max(1, |numeric|)
+        rng = np.random.default_rng(sum(shape))
+        c = shape[1]
+        x = Tensor(rng.normal(1.0, 2.0, shape), dtype=np.float64, requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, (1, c, 1, 1)), dtype=np.float64, requires_grad=True)
+        beta = Tensor(rng.normal(0, 0.3, (1, c, 1, 1)), dtype=np.float64, requires_grad=True)
+        w = rng.normal(size=shape)
+        y = T.batch_norm(x, gamma, beta, BatchNorm2d(c).astype(np.float64), True)
+        oracle = lambda a, g, b: reference.batchnorm_loops(a, g.ravel(), b.ravel())
+        np.testing.assert_allclose(y.data, oracle(x.data, gamma.data, beta.data),
+                                   rtol=1e-12, atol=1e-12)
+        backward(T.reduce_sum(T.mul(y, Tensor(w))))
+        arrays = [x.data.copy(), gamma.data.copy(), beta.data.copy()]
+        for i, analytic in enumerate([x.grad, gamma.grad, beta.grad]):
+            for j in np.ndindex(arrays[i].shape):
+                orig = arrays[i][j]
+                h = 1e-6 * max(1.0, abs(orig))
+                arrays[i][j] = orig + h
+                f_plus = float((oracle(*arrays) * w).sum())
+                arrays[i][j] = orig - h
+                f_minus = float((oracle(*arrays) * w).sum())
+                arrays[i][j] = orig
+                numeric = (f_plus - f_minus) / (2 * h)
+                assert abs(analytic[j] - numeric) / max(1.0, abs(numeric)) < 1e-5
+
 
 class TestPoolLinearResize:
     def test_gap_mean(self):
@@ -518,6 +579,27 @@ class TestPoolLinearResize:
         x = Tensor(np.random.default_rng(12).normal(size=(2, 2, 4, 5)).astype(np.float32))
         expected = reference.bilinear_loops(x.data, oh, ow)
         np.testing.assert_allclose(T.resize_bilinear(x, oh, ow).data, expected, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("oh,ow", [(9, 4), (3, 11), (10, 14), (2, 3)])
+    def test_resize_float64_matches_loop_oracle(self, oh, ow):
+        x = Tensor(np.random.default_rng(15).normal(size=(2, 3, 5, 7)), dtype=np.float64)
+        expected = reference.bilinear_loops(x.data, oh, ow)
+        assert np.abs(T.resize_bilinear(x, oh, ow).data - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("oh,ow", [(9, 4), (3, 11)])
+    def test_resize_gradient_matches_finite_differences(self, oh, ow):
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.normal(size=(2, 3, 5, 7)), dtype=np.float64, requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 3, oh, ow)), dtype=np.float64)
+        f = lambda: T.reduce_sum(T.mul(T.resize_bilinear(x, oh, ow), w))
+        assert max_grad_error(f, [x]) < 1e-5
+
+    def test_interp_matrix_is_cached_read_only(self):
+        m = T.interp_matrix(9, 4, np.float32)
+        assert T.interp_matrix(9, 4, np.float32) is m
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+        assert T.interp_matrix.cache_info().maxsize is not None
 
 
 class TestBackward:

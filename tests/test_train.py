@@ -1,5 +1,6 @@
 """Training loop, evaluation, prediction, and the generalization report."""
 import hashlib
+import importlib
 import tracemalloc
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from gmsrfnet.data import (
     generate_center,
     read_pnm,
     resize_image,
+    resize_mask,
     split_dataset,
     write_pnm,
 )
@@ -283,6 +285,38 @@ class TestPredict:
                 expected[0, r, c] = prob[src_r, src_c] >= THRESHOLD
         assert 0 < expected.sum() < expected.size
         assert np.array_equal(read_pnm(mask_path), expected)
+
+    def test_input_size_image_skips_resize_with_same_bytes(self, tmp_path, monkeypatch):
+        # resizing to the same size multiplies by identity matrices, so
+        # skipping it must leave the written mask byte for byte the same
+        cfg = TrainConfig(max_steps=1, batch_size=2,
+                          model=ModelConfig(**dict(TINY_MODEL, input_size=64)))
+        model = train(cfg, generate_center(default_center_a(seed=7), 2, 64)).model
+        img_path = str(tmp_path / "in.ppm")
+        write_pnm(np.random.default_rng(9).uniform(0, 1, (3, 64, 64)), img_path)
+        resized = resize_image(read_pnm(img_path), 64, 64)
+
+        def primary_map(model):
+            model.set_training(False)
+            with no_grad():
+                return model(Tensor(resized[None]))[-1].data[0, 0]
+
+        # centre the primary head on its median so the mask holds both values
+        median = float(np.median(primary_map(model)))
+        model.heads.convs[3].bias.data -= np.log(median / (1.0 - median))
+        ckpt = str(tmp_path / "m.ckpt")
+        save_checkpoint(model, ckpt)
+        resized_path = str(tmp_path / "resized.pgm")
+        prob = primary_map(load_checkpoint(ckpt))
+        write_pnm(resize_mask((prob >= THRESHOLD)[None].astype(np.float32), 64, 64), resized_path)
+        calls = []
+        monkeypatch.setattr(importlib.import_module("gmsrfnet.train"), "resize_image",
+                            lambda *a: calls.append(a) or resize_image(*a))
+        mask_path = str(tmp_path / "out.pgm")
+        predict(ckpt, img_path, mask_path)
+        assert calls == []
+        assert 0 < read_pnm(mask_path).sum() < 64 * 64
+        assert Path(mask_path).read_bytes() == Path(resized_path).read_bytes()
 
     def test_deterministic_output(self, tiny_data, tmp_path):
         train_set, _, _ = tiny_data
