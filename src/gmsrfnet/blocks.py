@@ -130,13 +130,6 @@ class Layer:
             raise UsageError(f"{type(self).__name__} is part of a larger layer tree; use its root")
         return self._arena
 
-    def named_parameters(self):
-        arena = self.arena
-        return list(zip(arena.names, arena.tensors))
-
-    def named_buffers(self):
-        return [(name, getattr(layer, attr)) for name, layer, attr in self.arena.slots]
-
     def parameters(self):
         return list(self.arena.tensors)
 

@@ -65,7 +65,8 @@ def train_cmd(config_path, data_dir, out_path, log_path):
 @click.option("--data", "data_dir", type=click.Path(exists=True, file_okay=False), required=True)
 @click.option("--report", "report_base", type=click.Path(), required=True,
               help="Output base path; writes <base>.csv and <base>.json.")
-@click.option("--split", default="test", show_default=True,
+@click.option("--split", type=click.Choice(["train", "val", "test", "all"]), default="test",
+              show_default=True,
               help="Which manifest split to evaluate; 'all' for everything.")
 def eval_cmd(ckpt, data_dir, report_base, split):
     """Evaluate a checkpoint, writing per-image metrics and means."""

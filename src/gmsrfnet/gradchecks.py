@@ -1,5 +1,6 @@
 """Finite-difference verification suite over primitive ops, composite blocks,
-and a micro end-to-end model. Everything runs in float64."""
+and a micro end-to-end model, with its checker ``max_grad_error``. Everything
+runs in float64."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -8,11 +9,11 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import BatchNorm2d, ConvBlock, Resampler, ResidualStage, RfbBlock, SqueezeExcite
-from .errors import UsageError
+from .errors import NumericsError, UsageError
 from .gmsrf import GmsrfModule
 from .losses import total_loss
 from .network import ModelConfig, SegmentationModel
-from .tensor import Tensor, max_grad_error, reduce_mean
+from .tensor import Tensor, backward, no_grad, reduce_mean
 
 OP_TOL = 1e-5
 MODEL_TOL = 1e-4
@@ -39,12 +40,64 @@ class CheckResult:
         return self.max_error < self.tolerance
 
 
+def max_grad_error(f, inputs, h_scale=1e-6, max_coords=None, rng=None):
+    """Worst relative error between backward gradients of scalar ``f()`` and
+    central finite differences over the given input tensors.
+
+    Coordinates are probed exhaustively unless max_coords caps them, in which
+    case a deterministic random subset per tensor is used. Inputs must be
+    float64; the step per coordinate is h_scale * max(1, |x_j|) and the error
+    is |analytic - numeric| / max(1, |numeric|).
+    """
+    for t in inputs:
+        if t.data.dtype != np.float64:
+            raise UsageError("gradient checking requires float64 tensors")
+        if t.grad is not None:
+            t.grad[...] = 0  # in place: a parameter's grad is a view of its arena
+    out = f()
+    if out.shape != (1, 1, 1, 1):
+        raise UsageError(f"gradcheck function must return a scalar, got {out.shape}")
+    backward(out)
+    analytic = [
+        t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in inputs
+    ]
+    if rng is None:
+        rng = np.random.default_rng(0)
+
+    worst = 0.0
+    with no_grad():
+        for t, ga in zip(inputs, analytic):
+            if not np.all(np.isfinite(ga)):
+                raise NumericsError("non-finite analytic gradient")
+            flat = t.data.reshape(-1)
+            ga_flat = ga.reshape(-1)
+            if max_coords is not None and flat.size > max_coords:
+                coords = rng.choice(flat.size, size=max_coords, replace=False)
+            else:
+                coords = range(flat.size)
+            for j in coords:
+                orig = flat[j]
+                h = h_scale * max(1.0, abs(orig))
+                flat[j] = orig + h
+                f_plus = f().item()
+                flat[j] = orig - h
+                f_minus = f().item()
+                flat[j] = orig
+                if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                    raise NumericsError("non-finite value during finite differencing")
+                numeric = (f_plus - f_minus) / (2.0 * h)
+                err = abs(ga_flat[j] - numeric) / max(1.0, abs(numeric))
+                if err > worst:
+                    worst = err
+    return worst
+
+
 def _rand(rng, shape):
     return Tensor(rng.normal(0.0, 1.0, shape), requires_grad=True, dtype=np.float64)
 
 
 def _away_from_kink(rng, shape, margin=1e-2):
-    """Random values kept at least `margin` from zero (relu/leaky probing)."""
+    """Random values kept at least `margin` from zero (relu probing)."""
     x = rng.normal(0.0, 1.0, shape)
     x = np.where(np.abs(x) < margin, np.sign(x) * 2 * margin + margin, x)
     return Tensor(x, requires_grad=True, dtype=np.float64)
@@ -99,7 +152,6 @@ def op_checks(rng):
 
     k = _away_from_kink(rng, (2, 3, 5, 5))
     results.append(_check("relu", lambda: _sq_mean(T.relu(k)), [k]))
-    results.append(_check("leaky_relu", lambda: _sq_mean(T.leaky_relu(k)), [k]))
     s = _rand(rng, (2, 3, 5, 5))
     results.append(_check("sigmoid", lambda: _sq_mean(T.sigmoid(s)), [s]))
 
@@ -135,7 +187,6 @@ def op_checks(rng):
     results.append(_check("log", lambda: reduce_mean(T.log(p)), [p]))
     results.append(_check("clamp_interior", lambda: _sq_mean(T.clamp(p, 0.0, 1.0)), [p]))
     results.append(_check("scale_shift", lambda: _sq_mean(T.scale_shift(p, 2.5, -0.5)), [p]))
-    results.append(_check("reduce_sum", lambda: T.scale_shift(T.reduce_sum(T.mul(p, p)), 0.5, 0.0), [p]))
     results.append(_check("reduce_sum_per_image", lambda: _sq_mean(T.reduce_sum_per_image(p)), [p]))
     bb = _rand(rng, (2, 3, 1, 1))
     wide = _rand(rng, (2, 3, 4, 5))

@@ -26,15 +26,9 @@ PROB_CLAMP = 1e-7
 THRESHOLD = 0.5   # a probability at or above it is foreground
 
 
-def _as_tensor(x, like=None):
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.dtype if like is not None else None
-    return Tensor(np.asarray(x), dtype=dtype)
-
-
 def _check_pair(pred, target):
-    target = _as_tensor(target, like=pred)
+    if not isinstance(target, Tensor):
+        target = Tensor(target, dtype=pred.dtype)
     if pred.shape != target.shape:
         raise ShapeError(f"prediction shape {pred.shape} does not match target {target.shape}")
     return target

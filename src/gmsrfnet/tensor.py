@@ -6,7 +6,8 @@ of the graph: the op's inputs, a backward closure and a creation number.
 reverse creation order, depositing gradients on the leaf tensors that
 requested them. A graph nobody back-propagates is freed with its tensors.
 float32 is the working precision; float64 is supported end to end for
-finite-difference gradient checking (``Layer.astype`` casts a model).
+finite-difference gradient checking (``gradchecks``; ``Layer.astype`` casts
+a model).
 
 Vectors (biases) and matrices (projection weights) are represented as 4-D
 tensors of shape (1, C, 1, 1) and (Cout, Cin, 1, 1) so that every learnable
@@ -477,18 +478,6 @@ def relu(x):
     return _record(y, [x], backward_fn)
 
 
-LEAKY_ALPHA = 0.01
-
-
-def leaky_relu(x, alpha=LEAKY_ALPHA):
-    y = np.where(x.data > 0, x.data, x.data * x.data.dtype.type(alpha))
-
-    def backward_fn(g):
-        return (np.where(x.data > 0, g, g * x.data.dtype.type(alpha)),)
-
-    return _record(y, [x], backward_fn)
-
-
 def sigmoid(x):
     """Numerically stable logistic; outputs clamped into the open (0, 1).
     With e = exp(-|z|), 1/(1+e) for z >= 0 and e/(1+e) below: exp never
@@ -511,6 +500,7 @@ def sigmoid(x):
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+LEAKY_ALPHA = 0.01
 
 
 def _channel_sum(a, b=None):
@@ -643,16 +633,6 @@ def resize_bilinear(x, out_h, out_w):
 # -- reductions ---------------------------------------------------------------
 
 
-def reduce_sum(x):
-    """Sum of all elements as a (1, 1, 1, 1) tensor."""
-    y = x.data.sum(dtype=x.data.dtype).reshape(1, 1, 1, 1)
-
-    def backward_fn(g):
-        return (np.broadcast_to(g, x.shape),)
-
-    return _record(y, [x], backward_fn)
-
-
 def reduce_mean(x):
     """Mean of all elements as a (1, 1, 1, 1) tensor."""
     y = x.data.mean(dtype=x.data.dtype).reshape(1, 1, 1, 1)
@@ -672,58 +652,3 @@ def reduce_sum_per_image(x):
         return (np.broadcast_to(g, x.shape),)
 
     return _record(y, [x], backward_fn)
-
-
-# -- gradient checking ----------------------------------------------------------
-
-
-def max_grad_error(f, inputs, h_scale=1e-6, max_coords=None, rng=None):
-    """Worst relative error between backward gradients of scalar ``f()`` and
-    central finite differences over the given input tensors.
-
-    Coordinates are probed exhaustively unless max_coords caps them, in which
-    case a deterministic random subset per tensor is used. Inputs must be
-    float64; the step per coordinate is h_scale * max(1, |x_j|) and the error
-    is |analytic - numeric| / max(1, |numeric|).
-    """
-    for t in inputs:
-        if t.data.dtype != np.float64:
-            raise UsageError("gradient checking requires float64 tensors")
-        if t.grad is not None:
-            t.grad[...] = 0  # in place: a parameter's grad is a view of its arena
-    out = f()
-    if out.shape != (1, 1, 1, 1):
-        raise UsageError(f"gradcheck function must return a scalar, got {out.shape}")
-    backward(out)
-    analytic = [
-        t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in inputs
-    ]
-    if rng is None:
-        rng = np.random.default_rng(0)
-
-    worst = 0.0
-    with no_grad():
-        for t, ga in zip(inputs, analytic):
-            if not np.all(np.isfinite(ga)):
-                raise NumericsError("non-finite analytic gradient")
-            flat = t.data.reshape(-1)
-            ga_flat = ga.reshape(-1)
-            if max_coords is not None and flat.size > max_coords:
-                coords = rng.choice(flat.size, size=max_coords, replace=False)
-            else:
-                coords = range(flat.size)
-            for j in coords:
-                orig = flat[j]
-                h = h_scale * max(1.0, abs(orig))
-                flat[j] = orig + h
-                f_plus = f().item()
-                flat[j] = orig - h
-                f_minus = f().item()
-                flat[j] = orig
-                if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                    raise NumericsError("non-finite value during finite differencing")
-                numeric = (f_plus - f_minus) / (2.0 * h)
-                err = abs(ga_flat[j] - numeric) / max(1.0, abs(numeric))
-                if err > worst:
-                    worst = err
-    return worst

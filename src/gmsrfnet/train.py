@@ -78,13 +78,16 @@ class TrainResult:
     best_path: str | None
 
 
-def _check_sizes(dataset, size):
-    """Raise FormatError unless every image and mask is size x size."""
+def _check_samples(dataset, size):
+    """Raise FormatError unless every image and mask is size x size and
+    finite."""
     for s in dataset:
         for what, arr in (("image", s.image), ("mask", s.mask)):
             if arr.shape[1:] != (size, size):
                 raise FormatError(f"sample {s.id}: {what} has size {arr.shape[1:]}, "
                                   f"model expects {size}x{size}")
+            if not np.isfinite(arr).all():
+                raise FormatError(f"sample {s.id}: {what} holds non-finite values")
 
 
 def _stack_batch(samples):
@@ -114,10 +117,10 @@ def train(cfg, train_set, val_set=None, out_path=None, log_path=None):
     Saves the final checkpoint at out_path and, when a non-empty val_set is
     given, the best-validation-DSC checkpoint at out_path + ".best". A
     NumericsError aborts after re-saving the parameters from the last
-    completed step. An out_path or log_path that is a directory, or whose
-    directory is missing, raises UsageError before the model is built, and
-    an image or mask in either set that is not input_size square raises
-    FormatError.
+    completed step. Before the model is built, an out_path or log_path that
+    is a directory, or whose directory is missing, raises UsageError, and an
+    image or mask in either set that is not input_size square or not finite
+    raises FormatError.
     """
     for what, path in (("out_path", out_path), ("log_path", log_path)):
         if path and os.path.isdir(path):
@@ -127,7 +130,7 @@ def train(cfg, train_set, val_set=None, out_path=None, log_path=None):
     if len(train_set) == 0:
         raise ConfigError("training set is empty")
     for dataset in (train_set, val_set or ()):
-        _check_sizes(dataset, cfg.model.input_size)
+        _check_samples(dataset, cfg.model.input_size)
 
     model = build_model(cfg.model)
     adam = Adam(model.arena, cfg.lr)
@@ -214,7 +217,7 @@ def evaluate(checkpoint, dataset, out_base=None, label=""):
     """Evaluate a checkpoint (path or loaded model) on a dataset; optionally
     write <out_base>.csv and <out_base>.json."""
     model = load_checkpoint(checkpoint) if isinstance(checkpoint, (str, os.PathLike)) else checkpoint
-    _check_sizes(dataset, model.config.input_size)
+    _check_samples(dataset, model.config.input_size)
     report = evaluate_model(model, dataset, label or dataset.center_id)
     if out_base:
         report.write_csv(out_base + ".csv")

@@ -1,10 +1,20 @@
-"""Independent brute-force oracles used by the tests.
+"""Independent brute-force oracles used by the tests, and the scalar loss
+that seeds a backward pass with a chosen upstream gradient.
 
-Everything here is written as plain nested loops over definitions, on
-purpose: these implementations share no code with the library paths they
-check.
+The oracles are written as plain nested loops over definitions, on purpose:
+they share no code with the library paths they check.
 """
 import numpy as np
+
+from gmsrfnet.tensor import _record
+
+
+def sum_loss(y, g=None):
+    """The scalar sum(g * y), or sum(y) when g is None, recorded as one node
+    whose backward hands y exactly g (or ones): backward(sum_loss(y, g))
+    propagates the upstream gradient g into y's graph."""
+    g = np.ones(y.shape, y.dtype) if g is None else np.array(g, y.dtype)
+    return _record((y.data * g).sum().reshape(1, 1, 1, 1), [y], lambda _: (g,))
 
 
 def conv2d_loops(x, w, b=None, stride=1, padding=0, dilation=1):

@@ -6,7 +6,8 @@ import pytest
 from gmsrfnet import tensor as T
 from gmsrfnet.blocks import ConvBlock, Resampler, ResidualStage, RfbBlock, SqueezeExcite
 from gmsrfnet.errors import ShapeError, UsageError
-from gmsrfnet.tensor import Tensor, max_grad_error
+from gmsrfnet.gradchecks import max_grad_error
+from gmsrfnet.tensor import Tensor
 
 
 @pytest.fixture
@@ -32,10 +33,10 @@ class TestConvBlock:
         np.testing.assert_allclose(block(x).data, x.data, atol=1e-4)
 
     def test_bias_only_without_norm(self, rng):
-        names = [n for n, _ in ConvBlock(rng, 2, 3, 3).named_parameters()]
-        assert names == ["weight", "bn.gamma", "bn.beta"]
-        names = [n for n, _ in ConvBlock(rng, 2, 3, 1, act="linear", norm=False).named_parameters()]
-        assert names == ["weight", "bias"]
+        arena = ConvBlock(rng, 2, 3, 3).arena
+        assert arena.names[: len(arena.tensors)] == ["weight", "bn.gamma", "bn.beta"]
+        arena = ConvBlock(rng, 2, 3, 1, act="linear", norm=False).arena
+        assert arena.names[: len(arena.tensors)] == ["weight", "bias"]
 
     def test_normalized_block_rejects_other_activations(self, rng):
         block = ConvBlock(rng, 2, 3, 3, act="sigmoid")
@@ -175,15 +176,15 @@ class TestResidualStage:
 class TestRegistry:
     def test_names_unique_and_complete(self, rng):
         stage = ResidualStage(rng, 3, 5, downsample=True)
-        names = [n for n, _ in stage.named_parameters()]
+        names = stage.arena.names[: len(stage.arena.tensors)]
         assert len(names) == len(set(names))
         # conv1 w + bn, conv2 w + bn, shortcut w + bn: normalized, so no conv bias
         assert len(names) == 3 * 3
 
     def test_buffers_enumerated(self, rng):
         block = ConvBlock(rng, 2, 2, 3, padding=1)
-        buffers = dict(block.named_buffers())
-        assert set(buffers) == {"bn.running_mean", "bn.running_var", "bn.num_updates"}
+        buffers = {name for name, _, _ in block.arena.slots}
+        assert buffers == {"bn.running_mean", "bn.running_var", "bn.num_updates"}
 
     def test_set_training_recurses(self, rng):
         stage = ResidualStage(rng, 2, 2, downsample=True)
@@ -194,5 +195,5 @@ class TestRegistry:
         stage = ResidualStage(rng, 2, 3, downsample=True)
         params = stage.arena.params
         with pytest.raises(UsageError):
-            stage.conv1.named_parameters()
+            stage.conv1.arena
         assert stage.conv1.weight.data.base is params

@@ -171,6 +171,19 @@ class TestTrainEvalPredict:
         assert isinstance(result.exception, UsageError), result.exception
         assert sorted(base.rglob("*")) == before
 
+    def test_unknown_eval_split_is_a_usage_error(self, runner, tmp_path):
+        # a misspelt split once evaluated every sample, train split included
+        ckpt, data_dir = tmp_path / "m.ckpt", tmp_path / "data"
+        ckpt.write_text("x")
+        data_dir.mkdir()
+        result = runner.invoke(main, [
+            "eval", "--ckpt", str(ckpt), "--data", str(data_dir),
+            "--report", str(tmp_path / "r"), "--split", "tset",
+        ])
+        assert result.exit_code == 2, result.output
+        assert "tset" in result.output
+        assert not (tmp_path / "r.csv").exists()
+
 
 # Each command's path options with the kind of path each takes, and the other
 # arguments it needs; "{tmp}" stands for the test's scratch directory.

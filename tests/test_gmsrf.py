@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from gmsrfnet import tensor as T
 from gmsrfnet.errors import ShapeError
 from gmsrfnet.gmsrf import SCALES, CrossScaleAttention, GmsrfModule
-from gmsrfnet.tensor import Tensor, max_grad_error
+from gmsrfnet.gradchecks import max_grad_error
+from gmsrfnet.tensor import Tensor
 
 
 @pytest.fixture

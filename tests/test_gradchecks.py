@@ -4,8 +4,8 @@ import pytest
 
 from gmsrfnet import tensor as T
 from gmsrfnet.errors import UsageError
-from gmsrfnet.gradchecks import run_suite
-from gmsrfnet.tensor import Tensor, max_grad_error
+from gmsrfnet.gradchecks import max_grad_error, run_suite
+from gmsrfnet.tensor import Tensor
 
 
 class TestSuite:
@@ -49,6 +49,6 @@ class TestNegativeControl:
             return record(out_data, inputs, corrupted)
 
         monkeypatch.setattr(T, "_record", record_wrong_weight_grad)
-        err = T.max_grad_error(
+        err = max_grad_error(
             lambda: T.reduce_mean(T.conv2d(xc, w, padding=1)), [w])
         assert err > 1e-5

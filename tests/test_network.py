@@ -31,6 +31,13 @@ SMALL = ModelConfig(input_size=64, encoder_widths=(8, 12, 16, 16), rfb_channels=
                     growth=4, layers_per_module=3, num_modules=2, seed=4)
 
 
+def named_arrays(model):
+    """(name, array) of every parameter, then every buffer, as the layers hold them."""
+    arena = model.arena
+    arrays = [p.data for p in arena.tensors] + [getattr(l, a) for _, l, a in arena.slots]
+    return list(zip(arena.names, arrays))
+
+
 def expected_param_count(cfg):
     """Symbolic parameter count, written independently of the registry."""
 
@@ -171,28 +178,24 @@ class TestModelForward:
             model(Tensor(np.zeros((1, 3, 64, 64), np.float32)))
 
     def test_same_seed_same_init(self):
-        p1 = dict(build_model(MICRO).named_parameters())
-        p2 = dict(build_model(MICRO).named_parameters())
+        p1 = dict(named_arrays(build_model(MICRO)))
+        p2 = dict(named_arrays(build_model(MICRO)))
         for name in p1:
-            assert np.array_equal(p1[name].data, p2[name].data)
+            assert np.array_equal(p1[name], p2[name])
 
 
 class TestRegistry:
     @pytest.mark.parametrize("cfg", [MICRO, SMALL, ModelConfig()])
     def test_param_count_matches_symbolic_formula(self, cfg):
         model = build_model(cfg)
-        names = [n for n, _ in model.named_parameters()]
+        names = model.arena.names[: len(model.arena.tensors)]
         assert len(names) == len(set(names))
-        total = sum(p.size for _, p in model.named_parameters())
+        total = sum(p.size for p in model.arena.tensors)
         assert total == expected_param_count(cfg)
 
     def test_every_parameter_requires_grad(self):
         model = build_model(MICRO)
-        assert all(p.requires_grad for _, p in model.named_parameters())
-
-
-def named_arrays(model):
-    return [(n, p.data) for n, p in model.named_parameters()] + list(model.named_buffers())
+        assert all(p.requires_grad for p in model.arena.tensors)
 
 
 class TestAstype:
@@ -357,12 +360,10 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
-        orig = dict(model.named_parameters())
-        new = dict(loaded.named_parameters())
+        orig = dict(named_arrays(model))
+        new = dict(named_arrays(loaded))
         for name in orig:
-            assert np.array_equal(orig[name].data, new[name].data)
-        for (name, b1), (_, b2) in zip(model.named_buffers(), loaded.named_buffers()):
-            assert np.array_equal(b1, b2), name
+            assert np.array_equal(orig[name], new[name]), name
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"

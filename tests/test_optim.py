@@ -26,7 +26,7 @@ def params_with_grads(values, grads, dtype=np.float64):
     # float64 so the closed-form first-step algebra is checked without
     # float32 quantization noise
     layer = scalar_layer(values, [dtype] * len(values))
-    named = layer.named_parameters()
+    named = list(zip(layer.arena.names, layer.arena.tensors))
     for (_, p), g in zip(named, grads):
         if g is not None:
             p.grad[...] = g
@@ -97,7 +97,7 @@ class TestAdam:
 
     def test_flat_update_bitwise_equals_per_tensor_loop(self):
         model = build_model(ModelConfig(**PROTOCOL_MODEL))
-        named = model.named_parameters()
+        named = list(zip(model.arena.names, model.arena.tensors))
         assert len(named) == 269 and all(p.data.dtype == np.float32 for _, p in named)
         start = {name: p.data.copy() for name, p in named}
         rng = np.random.default_rng(5)

@@ -1,7 +1,9 @@
 """Tensor core: op semantics, graph behavior, and gradient checking."""
+import ast
 import tracemalloc
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ import pytest
 from gmsrfnet import tensor as T
 from gmsrfnet.blocks import BatchNorm2d
 from gmsrfnet.errors import NumericsError, ShapeError, StateError, UsageError
+from gmsrfnet.gradchecks import max_grad_error
 from gmsrfnet.network import ModelConfig, build_model
-from gmsrfnet.tensor import Tensor, backward, max_grad_error
+from gmsrfnet.tensor import Tensor, backward
 
 import reference
 
@@ -105,7 +108,7 @@ class TestConv2d:
         w = Tensor(rng.normal(size=(4, 3) + kernel), dtype=np.float64)
         y = T.conv2d(x, w, stride=stride, padding=padding, dilation=dilation)
         g = rng.normal(size=y.shape)
-        backward(T.reduce_sum(T.mul(y, Tensor(g))))
+        backward(reference.sum_loss(y, g))
         expected = reference.conv2d_input_grad_loops(g, w.data, x.shape, stride, padding, dilation)
         np.testing.assert_allclose(x.grad, expected, rtol=1e-12, atol=1e-12)
 
@@ -115,7 +118,7 @@ class TestConv2d:
         w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True, dtype=np.float64)
         y = T.conv2d(x, w, stride=2, padding=1)
         g = rng.normal(size=y.shape)
-        loss = T.reduce_sum(T.mul(y, Tensor(g)))
+        loss = reference.sum_loss(y, g)
         calls = count_calls(monkeypatch, "_correlate")
         backward(loss)
         assert calls == [] and x.grad is None
@@ -131,7 +134,7 @@ class TestConv2d:
         np.testing.assert_allclose(y.data, reference.conv2d_loops(x.data, w.data, stride=2),
                                    rtol=1e-12, atol=1e-12)
         g = rng.normal(size=y.shape)
-        backward(T.reduce_sum(T.mul(y, Tensor(g))))
+        backward(reference.sum_loss(y, g))
         expected = reference.conv2d_weight_grad_loops(x.data, g, w.shape, 2, 0)
         np.testing.assert_allclose(w.grad, expected, rtol=1e-12, atol=1e-12)
         assert placed == [] and cols == []
@@ -144,7 +147,7 @@ class TestConv2d:
         b = Tensor(rng.normal(size=(1, 4, 1, 1)), requires_grad=True, dtype=np.float64)
         y = T.conv2d(x, w, b, stride=stride, padding=padding)
         g = rng.normal(size=y.shape)
-        backward(T.reduce_sum(T.mul(y, Tensor(g))))
+        backward(reference.sum_loss(y, g))
         np.testing.assert_allclose(b.grad, g.sum(axis=(0, 2, 3), keepdims=True),
                                    rtol=1e-12, atol=1e-12)
 
@@ -202,7 +205,7 @@ class TestShiftKernel:
         wt = Tensor(rng.normal(size=(wide, narrow, k, k)), requires_grad=True, dtype=np.float64)
         y = T.conv2d(x, wt, padding=padding, dilation=dilation)
         g = rng.normal(size=y.shape)
-        loss = T.reduce_sum(T.mul(y, Tensor(g)))
+        loss = reference.sum_loss(y, g)
         calls = count_calls(monkeypatch, "_im2col")
         backward(loss)
         assert calls == []
@@ -274,7 +277,7 @@ class TestConvTranspose2d:
         w = Tensor(rng.normal(size=(3, 2, 3, 3)), dtype=np.float64)
         y = T.conv_transpose2d(x, w, stride=stride, padding=padding)
         g = rng.normal(size=y.shape)
-        backward(T.reduce_sum(T.mul(y, Tensor(g))))
+        backward(reference.sum_loss(y, g))
         expected = reference.conv2d_loops(g, w.data, stride=stride, padding=padding)
         np.testing.assert_allclose(x.grad, expected, rtol=1e-12, atol=1e-12)
 
@@ -353,7 +356,7 @@ class TestElementwise:
         g = rng.normal(size=(2, 3, 4, 5)).astype(np.float32)
         z = T.mul(x, y)
         assert np.array_equal(z.data, x.data * y.data)
-        backward(T.reduce_sum(T.mul(z, Tensor(g))))
+        backward(reference.sum_loss(z, g))
         assert np.array_equal(x.grad, g * y.data)
         assert np.array_equal(y.grad, (g * x.data).sum(axis=(2, 3), keepdims=True))
 
@@ -375,10 +378,6 @@ class TestActivations:
     def test_relu(self):
         y = T.relu(t([[-1.0, 3.0]]))
         assert np.array_equal(y.data.ravel(), [0.0, 3.0])
-
-    def test_leaky(self):
-        y = T.leaky_relu(t([[-2.0]]), alpha=0.1)
-        assert abs(y.item() + 0.2) < 1e-7
 
     def test_sigmoid_open_interval_extremes(self):
         x = t([[-500.0, -100.0, 0.0, 100.0, 500.0]])
@@ -465,29 +464,6 @@ class TestBatchNorm:
         assert (z < 0).any() and (z > 0).any()
         np.testing.assert_allclose(y.data, np.where(z > 0, z, 0.01 * z), rtol=1e-5, atol=1e-6)
 
-    @pytest.mark.parametrize("training", [True, False])
-    def test_leaky_gradients_equal_composed_ops(self, training):
-        rng = np.random.default_rng(9)
-        x = Tensor(rng.normal(size=(2, 3, 4, 4)), dtype=np.float64, requires_grad=True)
-        gamma = Tensor(rng.uniform(0.5, 1.5, (1, 3, 1, 1)), dtype=np.float64, requires_grad=True)
-        beta = Tensor(rng.normal(0, 0.3, (1, 3, 1, 1)), dtype=np.float64, requires_grad=True)
-        w = rng.normal(size=(2, 3, 4, 4))
-        state = BatchNorm2d(3).astype(np.float64)
-        state.num_updates[:] = 1
-        state.running_mean[:] = 0.1
-        state.running_var[:] = 0.8
-
-        def grads(f):
-            for p in (x, gamma, beta):
-                p.grad = None
-            backward(T.reduce_sum(T.mul(f(), Tensor(w, dtype=np.float64))))
-            return [p.grad for p in (x, gamma, beta)]
-
-        fused = grads(lambda: T.batch_norm(x, gamma, beta, state, training, act="leaky_relu"))
-        composed = grads(lambda: T.leaky_relu(T.batch_norm(x, gamma, beta, state, training)))
-        for a, b in zip(fused, composed):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
     def test_large_offset_matches_float64_oracle(self):
         # 1e4 + N(0, 1) in float32: E[x^2] - mean^2 cancels to garbage (even a
         # negative variance) here, the centred two-pass variance does not
@@ -505,7 +481,7 @@ class TestBatchNorm:
         state = BatchNorm2d(2)
         y = T.batch_norm(x, T.vector([2.0, 3.0]), beta, state, True, act="leaky_relu")
         np.testing.assert_array_equal(y.data.ravel(), np.float32([0.5, -0.005]))
-        backward(T.reduce_sum(y))
+        backward(reference.sum_loss(y))
         np.testing.assert_array_equal(x.grad, 0)
         np.testing.assert_array_equal(beta.grad.ravel(), np.float32([1.0, 0.01]))
         for buffer in (state.running_mean, state.running_var):
@@ -518,8 +494,11 @@ class TestBatchNorm:
         with pytest.raises(UsageError):
             T.batch_norm(x, T.vector([1.0]), T.vector([0.0]), BatchNorm2d(1), True, act=act)
 
-    @pytest.mark.parametrize("shape", [(1, 2, 3, 5), (3, 2, 4, 3)])
-    def test_float64_output_and_gradients_match_loop_oracle(self, shape):
+    @pytest.mark.parametrize("shape,act", [
+        ((1, 2, 3, 5), "linear"), ((3, 2, 4, 3), "linear"),
+        ((1, 2, 3, 5), "leaky_relu"), ((3, 2, 4, 3), "leaky_relu"),
+    ], ids=["shape0", "shape1", "leaky_shape0", "leaky_shape1"])
+    def test_float64_output_and_gradients_match_loop_oracle(self, shape, act):
         # the oracle's gradients are its central differences, probed like
         # max_grad_error: step 1e-6*max(1, |v|), error relative to max(1, |numeric|)
         rng = np.random.default_rng(sum(shape))
@@ -528,11 +507,16 @@ class TestBatchNorm:
         gamma = Tensor(rng.uniform(0.5, 1.5, (1, c, 1, 1)), dtype=np.float64, requires_grad=True)
         beta = Tensor(rng.normal(0, 0.3, (1, c, 1, 1)), dtype=np.float64, requires_grad=True)
         w = rng.normal(size=shape)
-        y = T.batch_norm(x, gamma, beta, BatchNorm2d(c).astype(np.float64), True)
-        oracle = lambda a, g, b: reference.batchnorm_loops(a, g.ravel(), b.ravel())
+        y = T.batch_norm(x, gamma, beta, BatchNorm2d(c).astype(np.float64), True, act=act)
+        slope = 1.0 if act == "linear" else 0.01
+
+        def oracle(a, g, b):
+            z = reference.batchnorm_loops(a, g.ravel(), b.ravel())
+            return np.where(z > 0, z, slope * z)
+
         np.testing.assert_allclose(y.data, oracle(x.data, gamma.data, beta.data),
                                    rtol=1e-12, atol=1e-12)
-        backward(T.reduce_sum(T.mul(y, Tensor(w))))
+        backward(reference.sum_loss(y, w))
         arrays = [x.data.copy(), gamma.data.copy(), beta.data.copy()]
         for i, analytic in enumerate([x.grad, gamma.grad, beta.grad]):
             for j in np.ndindex(arrays[i].shape):
@@ -558,7 +542,7 @@ class TestPoolLinearResize:
     def test_gap_gradient_distributes(self):
         x = Tensor(np.random.default_rng(8).normal(size=(1, 1, 4, 4)).astype(np.float32),
                    requires_grad=True)
-        backward(T.reduce_sum(T.global_avg_pool(x)))
+        backward(reference.sum_loss(T.global_avg_pool(x)))
         np.testing.assert_allclose(x.grad, 1.0 / 16.0, rtol=1e-6)
 
     def test_resize_same_size_identity(self):
@@ -590,8 +574,8 @@ class TestPoolLinearResize:
     def test_resize_gradient_matches_finite_differences(self, oh, ow):
         rng = np.random.default_rng(16)
         x = Tensor(rng.normal(size=(2, 3, 5, 7)), dtype=np.float64, requires_grad=True)
-        w = Tensor(rng.normal(size=(2, 3, oh, ow)), dtype=np.float64)
-        f = lambda: T.reduce_sum(T.mul(T.resize_bilinear(x, oh, ow), w))
+        w = rng.normal(size=(2, 3, oh, ow))
+        f = lambda: reference.sum_loss(T.resize_bilinear(x, oh, ow), w)
         assert max_grad_error(f, [x]) < 1e-5
 
     def test_interp_matrix_is_cached_read_only(self):
@@ -607,12 +591,12 @@ class TestBackward:
         rng = np.random.default_rng(13)
         x = Tensor(rng.normal(size=(1, 2, 3, 3)).astype(np.float32), requires_grad=True)
         y = Tensor(rng.normal(size=(1, 2, 3, 3)).astype(np.float32))
-        backward(T.reduce_sum(T.mul(x, y)))
+        backward(reference.sum_loss(T.mul(x, y)))
         np.testing.assert_allclose(x.grad, y.data, rtol=1e-6)
 
     def test_sigmoid_at_zero_grad_quarter(self):
         w = Tensor(np.zeros((1, 1, 1, 1), np.float32), requires_grad=True)
-        backward(T.reduce_sum(T.sigmoid(w)))
+        backward(reference.sum_loss(T.sigmoid(w)))
         assert abs(w.grad.item() - 0.25) < 1e-7
 
     def test_non_scalar_loss_raises(self):
@@ -622,7 +606,7 @@ class TestBackward:
 
     def test_double_backward_raises(self):
         x = Tensor(np.zeros((1, 1, 1, 1)), requires_grad=True)
-        loss = T.reduce_sum(T.mul(x, x))
+        loss = reference.sum_loss(T.mul(x, x))
         backward(loss)
         with pytest.raises(StateError):
             backward(loss)
@@ -631,19 +615,19 @@ class TestBackward:
         x = Tensor(np.ones((1, 1, 1, 1)), requires_grad=True)
         z = Tensor(np.ones((1, 1, 1, 1)), requires_grad=True)
         T.mul(z, z)  # recorded but unreachable from the loss below
-        loss = T.reduce_sum(T.mul(x, x))
+        loss = reference.sum_loss(T.mul(x, x))
         backward(loss)
         assert z.grad is None
         assert np.all(x.grad == 2.0)
         z.grad = np.full_like(z.data, 5.0)
         T.mul(z, z)
-        backward(T.reduce_sum(T.mul(x, x)))
+        backward(reference.sum_loss(T.mul(x, x)))
         assert np.all(z.grad == 5.0)
 
     def test_no_grad_for_requires_grad_false(self):
         x = Tensor(np.ones((1, 1, 1, 1)), requires_grad=True)
         y = Tensor(np.ones((1, 1, 1, 1)))
-        backward(T.reduce_sum(T.mul(x, y)))
+        backward(reference.sum_loss(T.mul(x, y)))
         assert y.grad is None
 
     def test_no_grad_context_suppresses_recording(self):
@@ -652,12 +636,12 @@ class TestBackward:
             y = T.mul(x, x)
             assert not y.requires_grad
             with pytest.raises(StateError):
-                backward(T.reduce_sum(y))
+                backward(reference.sum_loss(y))
 
     def test_fanout_accumulation(self):
         x = Tensor(np.full((1, 1, 1, 1), 3.0, np.float32), requires_grad=True)
         y = T.add(T.mul(x, x), T.mul(x, x))
-        backward(T.reduce_sum(y))
+        backward(reference.sum_loss(y))
         assert abs(x.grad.item() - 12.0) < 1e-6  # d/dx 2x^2 = 4x
 
     def test_loss_without_graph_raises(self):
@@ -669,7 +653,7 @@ class TestBackward:
         w = Tensor(rng.normal(size=(2, 3, 3, 3)), dtype=np.float64)
 
         def f(x):
-            return T.reduce_sum(T.sigmoid(T.conv2d(x, Tensor(w.data), padding=1)))
+            return reference.sum_loss(T.sigmoid(T.conv2d(x, Tensor(w.data), padding=1)))
 
         x0 = Tensor(rng.normal(size=(1, 3, 5, 5)), requires_grad=True, dtype=np.float64)
         assert max_grad_error(lambda: f(x0), [x0]) < 1e-5
@@ -697,11 +681,11 @@ class TestGraphLifetime:
         x = Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
         w = Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
         h = T.mul(x, w)
-        backward(T.reduce_sum(h))
+        backward(reference.sum_loss(h))
         grads = (x.grad.copy(), w.grad.copy())
         y = Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
         with pytest.raises(StateError):
-            backward(T.reduce_sum(T.add(h, y)))
+            backward(reference.sum_loss(T.add(h, y)))
         assert y.grad is None
         assert np.array_equal(x.grad, grads[0]) and np.array_equal(w.grad, grads[1])
 
@@ -710,8 +694,8 @@ class TestGraphLifetime:
         x = Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
         y = Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
         c = Tensor(rng.normal(size=(1, 2, 3, 3)))
-        loss_x = T.reduce_sum(T.mul(x, x))
-        loss_y = T.reduce_sum(T.mul(y, c))
+        loss_x = reference.sum_loss(T.mul(x, x))
+        loss_y = reference.sum_loss(T.mul(y, c))
         backward(loss_y)
         backward(loss_x)
         np.testing.assert_allclose(x.grad, 2 * x.data, rtol=1e-6)
@@ -730,7 +714,7 @@ class TestThreadIsolation:
             rng = np.random.default_rng(seed)
             x = Tensor(rng.normal(size=(1, 2, 4, 4)).astype(np.float32), requires_grad=True)
             y = Tensor(rng.normal(size=(1, 2, 4, 4)).astype(np.float32))
-            backward(T.reduce_sum(T.mul(x, y)))
+            backward(reference.sum_loss(T.mul(x, y)))
             results[tag] = (x.grad.copy(), y.data.copy())
 
         threads = [threading.Thread(target=work, args=(i, 40 + i)) for i in range(2)]
@@ -760,7 +744,7 @@ class TestGradcheckHarness:
         # larger step leaves only negligible float64 roundoff
         x = Tensor(np.random.default_rng(16).normal(size=(1, 2, 3, 3)), requires_grad=True,
                    dtype=np.float64)
-        err = max_grad_error(lambda: T.reduce_sum(T.scale_shift(x, 3.0, 1.0)), [x], h_scale=1e-3)
+        err = max_grad_error(lambda: reference.sum_loss(T.scale_shift(x, 3.0, 1.0)), [x], h_scale=1e-3)
         assert err < 1e-10
 
     def test_conv_bn_sigmoid_pipeline(self):
@@ -783,12 +767,12 @@ class TestGradcheckHarness:
         vals = rng.normal(size=(1, 2, 4, 4))
         vals = np.where(np.abs(vals) < 1e-2, 0.5, vals)
         x = Tensor(vals, requires_grad=True, dtype=np.float64)
-        assert max_grad_error(lambda: T.reduce_sum(T.relu(x)), [x]) < 1e-5
+        assert max_grad_error(lambda: reference.sum_loss(T.relu(x)), [x]) < 1e-5
 
     def test_requires_float64(self):
         x = Tensor(np.zeros((1, 1, 2, 2), np.float32), requires_grad=True)
         with pytest.raises(UsageError):
-            max_grad_error(lambda: T.reduce_sum(x), [x])
+            max_grad_error(lambda: reference.sum_loss(x), [x])
 
     def test_nan_produces_numerics_error(self):
         x = Tensor(np.full((1, 1, 1, 1), -1.0), requires_grad=True, dtype=np.float64)
@@ -818,3 +802,20 @@ class TestGradcheckHarness:
             x = Tensor(rng.normal(size=(2, 4, 6, 6)), dtype=np.float64)
         probe = Tensor(x.data, requires_grad=True)
         assert max_grad_error(lambda: f(probe), [probe]) < 1e-5
+
+
+class TestPublicSurface:
+    def test_every_public_function_has_a_caller_in_the_package(self):
+        # tensor.py holds the tape and the ops the program runs; a function
+        # only the gradient checks or the tests call belongs with them
+        source = Path(T.__file__)
+        public = {node.name for node in ast.parse(source.read_text()).body
+                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+        called = set()
+        for path in source.parent.glob("*.py"):
+            if path.name in ("tensor.py", "gradchecks.py"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    called.add(getattr(node.func, "id", getattr(node.func, "attr", None)))
+        assert sorted(public - called) == []

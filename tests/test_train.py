@@ -20,7 +20,7 @@ from gmsrfnet.data import (
 )
 from gmsrfnet.errors import FormatError, NumericsError
 from gmsrfnet.losses import THRESHOLD, build_report
-from gmsrfnet.network import ModelConfig, load_checkpoint, save_checkpoint
+from gmsrfnet.network import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from gmsrfnet.optim import Adam
 from gmsrfnet.tensor import Tensor, no_grad
 from gmsrfnet.train import (
@@ -138,7 +138,8 @@ class TestTrainLoop:
         monkeypatch.setattr(Adam, "step", exploding_step)
         with pytest.raises(NumericsError):
             train(tiny_config(epochs=5), train_set, None, out)
-        restored = dict(load_checkpoint(out).named_parameters())
+        arena = load_checkpoint(out).arena
+        restored = dict(zip(arena.names, arena.tensors))
         for name, arr in snapshots["last"].items():
             assert np.array_equal(restored[name].data, arr)
 
@@ -169,6 +170,19 @@ class TestTrainLoop:
         out = tmp_path / "m.ckpt"
         with pytest.raises(FormatError, match=f"{bad.id}: {'mask' if mask_only else 'image'}"):
             train(tiny_config(), sets["train"], sets["val"], str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("what", ["image", "mask"])
+    def test_non_finite_sample_rejected_before_training(self, what, value, tmp_path):
+        # one bad pixel would otherwise end in a NumericsError and a saved
+        # checkpoint whose batch-norm buffers are no longer finite
+        ds = generate_center(default_center_a(seed=77), 4, 32)
+        bad = ds.samples[2]
+        getattr(bad, what)[0, 5, 7] = value
+        out = tmp_path / "m.ckpt"
+        with pytest.raises(FormatError, match=f"{bad.id}: {what} holds non-finite"):
+            train(tiny_config(), ds, None, str(out))
         assert not out.exists()
 
     def test_worker_threads_do_not_change_results(self, tiny_data, tmp_path):
@@ -219,6 +233,12 @@ class TestEvaluate:
         wrong.samples[1].mask = generate_center(default_center_a(), 1, 16)[0].mask
         with pytest.raises(FormatError, match="mask"):
             evaluate(out, wrong)
+
+    def test_non_finite_sample_raises_format_error(self):
+        ds = generate_center(default_center_a(), 2, 32)
+        ds.samples[1].image[2, 0, 0] = np.nan
+        with pytest.raises(FormatError, match=f"{ds.samples[1].id}: image holds non-finite"):
+            evaluate(build_model(ModelConfig(**TINY_MODEL)), ds)
 
     def test_metrics_match_confusion_oracle(self, tiny_data):
         import reference
