@@ -7,7 +7,6 @@ import sys
 import click
 
 from .data import CenterSpec, generate_center, load_folder, save_dataset, split_dataset
-from .errors import read_json
 from .gradchecks import run_suite
 from .train import TrainConfig, evaluate, generalization_report, predict, train
 
@@ -29,7 +28,7 @@ def main():
 def generate_data_cmd(spec_path, n, out_dir, size, split_ratios, split_seed):
     """Render a synthetic center into images/, masks/, dataset.json."""
     if spec_path:
-        spec = CenterSpec.from_dict(read_json(spec_path))
+        spec = CenterSpec.from_json(spec_path)
     else:
         spec = CenterSpec()
     dataset = generate_center(spec, n, size)
@@ -50,9 +49,7 @@ def train_cmd(config_path, data_dir, out_path, log_path):
     """Train on the train split of a dataset directory."""
     cfg = TrainConfig.from_json(config_path)
     dataset = load_folder(data_dir, cfg.model.input_size)
-    train_set = dataset.subset("train")
-    if not len(train_set):
-        train_set = dataset
+    train_set = dataset.split("train")
     val_set = dataset.subset("val")
     result = train(cfg, train_set, val_set if len(val_set) else None, out_path, log_path)
     last = result.epoch_rows[-1]
@@ -75,9 +72,7 @@ def eval_cmd(ckpt, data_dir, report_base, split):
     model = load_checkpoint(ckpt)
     dataset = load_folder(data_dir, model.config.input_size)
     if split != "all":
-        subset = dataset.subset(split)
-        if len(subset):
-            dataset = subset
+        dataset = dataset.split(split)
     report = evaluate(model, dataset, report_base, label=dataset.center_id or split)
     means = report.means
     click.echo("dsc={dsc:.4f} miou={miou:.4f} recall={recall:.4f} precision={precision:.4f}"

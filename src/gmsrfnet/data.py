@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError, check_fields, config_fields
+from .errors import Config, ConfigError, DataError, FormatError, check_fields
 from .tensor import interp_matrix
 
 
 @dataclass
-class CenterSpec:
+class CenterSpec(Config):
     """Generation parameters for one synthetic acquisition center."""
 
     center_id: str = "center"
@@ -34,9 +34,6 @@ class CenterSpec:
     blob_radius: tuple = (0.08, 0.20)       # fraction of image size
     lumpiness: float = 0.3                  # radial wobble amplitude cap
     seed: int = 1
-
-    def __post_init__(self):
-        self.validate()
 
     def validate(self):
         check_fields(self)
@@ -53,13 +50,6 @@ class CenterSpec:
             raise ConfigError(f"lumpiness must be in [0, 1), got {self.lumpiness}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-
-    def to_dict(self):
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_dict(d):
-        return CenterSpec(**config_fields(CenterSpec, d))
 
 
 def default_center_a(seed=101):
@@ -114,6 +104,18 @@ class Dataset:
         ds = Dataset(center_id=self.center_id, spec=self.spec)
         ds.samples = [s for s in self.samples if s.split == split]
         return ds
+
+    def split(self, name):
+        """Exactly the samples tagged ``name``. A dataset with no split tags
+        (a folder without a manifest) is one undivided set and comes back
+        whole; a tagged one without a ``name`` sample raises DataError."""
+        present = sorted({s.split for s in self.samples} - {""})
+        if not present:
+            return self
+        part = self.subset(name)
+        if not len(part):
+            raise DataError(f"no samples in split {name!r}; the dataset has splits {present}")
+        return part
 
 
 # -- synthetic rendering ----------------------------------------------------

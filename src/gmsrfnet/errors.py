@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the checks that turn a
-JSON file or object into a config or a ConfigError."""
+"""Exception types shared across the package, and the base class whose
+checks turn a JSON file or object into a config or a ConfigError."""
 import dataclasses
 import json
 import math
@@ -41,16 +41,39 @@ class DataError(GmsrfError):
     """Dataset inconsistency (missing pairs, bad layout)."""
 
 
-def config_fields(cls, d):
-    """Keyword arguments for config dataclass ``cls`` from a JSON object whose
-    keys all name fields, or ConfigError. ``cls.validate`` checks the values."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    for key in d:
-        if key not in names:
-            raise ConfigError(f"{cls.__name__} has no field {key!r}")
-    return d
+class Config:
+    """Base for the config dataclasses. Construction runs the subclass's
+    ``validate``, which raises ConfigError for a bad value, and every config
+    reads and writes JSON through the same methods."""
+
+    def __post_init__(self):
+        self.validate()
+
+    def to_dict(self):
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, d):
+        """The config built from a JSON object whose keys all name fields
+        (missing ones take their defaults), or ConfigError."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
+        names = {f.name for f in dataclasses.fields(cls)}
+        for key in d:
+            if key not in names:
+                raise ConfigError(f"{cls.__name__} has no field {key!r}")
+        return cls(**d)
+
+    @classmethod
+    def from_json(cls, path):
+        """The config in the JSON file at ``path``; a file that is not a JSON
+        document raises ConfigError, as a bad config does."""
+        with open(path) as f:
+            try:
+                d = json.load(f)
+            except (ValueError, RecursionError) as e:
+                raise ConfigError(f"{path}: not a JSON document: {e}") from e
+        return cls.from_dict(d)
 
 
 def check_fields(config):
@@ -64,16 +87,6 @@ def check_fields(config):
             setattr(config, f.name, _like(value, f.default))
         except (TypeError, OverflowError):
             raise ConfigError(f"{type(config).__name__}.{f.name}: bad value {value!r}") from None
-
-
-def read_json(path):
-    """The JSON document in the file at ``path``; a malformed one raises
-    ConfigError."""
-    with open(path) as f:
-        try:
-            return json.load(f)
-        except (ValueError, RecursionError) as e:
-            raise ConfigError(f"{path}: not a JSON document: {e}") from e
 
 
 def _like(value, default):

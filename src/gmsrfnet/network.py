@@ -3,7 +3,6 @@ reduction, stacked fusion modules, a transposed-conv decoder, and four
 deep-supervision heads. Also the binary checkpoint format."""
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import math
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import Arena, ConvBlock, Layer, ResidualStage, RfbBlock
-from .errors import ConfigError, CorruptionError, FormatError, ShapeError, check_fields, config_fields
+from .errors import Config, ConfigError, CorruptionError, FormatError, ShapeError, check_fields
 from .gmsrf import GmsrfModule
 from .tensor import concat_channels, resize_bilinear, sigmoid
 
@@ -23,7 +22,7 @@ CHECKPOINT_MAGIC = b"GMSRF1"
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(Config):
     """Architecture hyperparameters; everything the training protocol leaves
     open is pinned here."""
 
@@ -36,9 +35,6 @@ class ModelConfig:
     se_reduction: int = 4
     seed: int = 0
 
-    def __post_init__(self):
-        self.validate()
-
     def validate(self):
         check_fields(self)
         if self.input_size % 32 != 0 or self.input_size < 32:
@@ -50,13 +46,6 @@ class ModelConfig:
                 raise ConfigError(f"{field} must be >= 1, got {getattr(self, field)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-
-    def to_dict(self):
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_dict(d):
-        return ModelConfig(**config_fields(ModelConfig, d))
 
 
 class Encoder(Layer):

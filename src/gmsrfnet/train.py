@@ -4,7 +4,6 @@ generalization report."""
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -13,9 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import augment, read_pnm, resize_image, resize_mask, write_pnm
-from .errors import (
-    ConfigError, FormatError, NumericsError, UsageError, check_fields, config_fields, read_json,
-)
+from .errors import Config, ConfigError, FormatError, NumericsError, UsageError, check_fields
 from .losses import MEAN_KEYS, THRESHOLD, build_report, total_loss
 from .network import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from .optim import Adam
@@ -23,7 +20,7 @@ from .tensor import Tensor, backward, no_grad
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Config):
     """Optimization protocol settings plus the embedded model config."""
 
     lr: float = 1e-4
@@ -35,12 +32,9 @@ class TrainConfig:
     threads: int = 1
     model: ModelConfig = field(default_factory=ModelConfig)
 
-    def __post_init__(self):
+    def validate(self):
         if isinstance(self.model, dict):
             self.model = ModelConfig.from_dict(self.model)
-        self.validate()
-
-    def validate(self):
         check_fields(self)
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
@@ -56,17 +50,6 @@ class TrainConfig:
             raise ConfigError(f"max_steps must be a positive int or null, got {self.max_steps!r}")
         if not isinstance(self.model, ModelConfig):
             raise ConfigError(f"model must be a ModelConfig object, got {self.model!r}")
-
-    def to_dict(self):
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_dict(d):
-        return TrainConfig(**config_fields(TrainConfig, d))
-
-    @staticmethod
-    def from_json(path):
-        return TrainConfig.from_dict(read_json(path))
 
 
 @dataclass
@@ -249,17 +232,12 @@ def predict(checkpoint_path, image_path, out_mask_path):
 
 def generalization_report(model_a, model_b, data_a, data_b, out_base=None):
     """2x2 cross-center evaluation of two loaded models: each on its own
-    test split and on the other center's full dataset, with the
-    source-minus-unseen DSC gap."""
-
-    def source_split(ds):
-        test = ds.subset("test")
-        return test if len(test) else ds
-
+    test split (``Dataset.split``) and on the other center's full dataset,
+    with the source-minus-unseen DSC gap."""
     rows = []
     for name, model, source, unseen in (
-        ("model-a", model_a, source_split(data_a), data_b),
-        ("model-b", model_b, source_split(data_b), data_a),
+        ("model-a", model_a, data_a.split("test"), data_b),
+        ("model-b", model_b, data_b.split("test"), data_a),
     ):
         src = evaluate_model(model, source, label="source").means
         uns = evaluate_model(model, unseen, label="unseen").means

@@ -51,6 +51,7 @@ def report_line(name, ok, detail=""):
 
 
 class TestAcceptance:
+    @pytest.mark.slow
     def test_a1_gradient_suite(self):
         start = time.time()
         results = []
@@ -142,6 +143,7 @@ class TestAcceptance:
                     f"bce={bce:.7f} iou_loss={iou_loss:.7f}")
         assert ok_bce and ok_iou and ok_identity and ok_oracle
 
+    @pytest.mark.slow
     def test_a5_overfit_convergence(self):
         start = time.time()
         samples = generate_center(default_center_a(seed=42), 4, 64)
@@ -203,6 +205,7 @@ class TestAcceptance:
             f"alone is {floor:.3f}, so the 0.2 threshold cannot be met at 64x64"
         )
 
+    @pytest.mark.slow
     def test_a6_generalization_protocol(self):
         results, datasets = {}, {}
         for name, maker, seed, model_seed in (

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from gmsrfnet.cli import main
 from gmsrfnet.data import default_center_a, generate_center, write_pnm
-from gmsrfnet.errors import ConfigError, UsageError
+from gmsrfnet.errors import ConfigError, DataError, UsageError
 
 
 @pytest.fixture
@@ -183,6 +183,65 @@ class TestTrainEvalPredict:
         assert result.exit_code == 2, result.output
         assert "tset" in result.output
         assert not (tmp_path / "r.csv").exists()
+
+
+def generate(runner, tmp_path, n, ratios):
+    """A 32x32 data folder of n samples split by ratios, and a train config."""
+    data_dir, cfg_path = tmp_path / "data", tmp_path / "train.json"
+    result = runner.invoke(main, [
+        "generate-data", "--n", str(n), "--size", "32", "--out", str(data_dir),
+        "--split-ratios", ratios,
+    ])
+    assert result.exit_code == 0, result.output
+    write_train_config(cfg_path)
+    return data_dir, cfg_path
+
+
+@pytest.fixture
+def train_only(tmp_path, runner):
+    """A folder whose samples are all tagged train, and a model trained on it."""
+    data_dir, cfg_path = generate(runner, tmp_path, 6, "1,0,0")
+    ckpt = tmp_path / "m.ckpt"
+    result = runner.invoke(main, [
+        "train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(ckpt),
+    ])
+    assert result.exit_code == 0, result.output
+    return data_dir, ckpt
+
+
+class TestExactSplits:
+    # each command once fell back to the whole dataset when its split was
+    # empty, scoring or training on samples of the other splits
+
+    def test_eval_of_an_empty_split_is_a_data_error(self, runner, tmp_path, train_only):
+        data_dir, ckpt = train_only
+        result = runner.invoke(main, [
+            "eval", "--ckpt", str(ckpt), "--data", str(data_dir),
+            "--report", str(tmp_path / "r"), "--split", "test",
+        ])
+        assert isinstance(result.exception, DataError), result.exception
+        assert "'test'" in str(result.exception)
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_report_without_a_test_split_is_a_data_error(self, runner, tmp_path, train_only):
+        data_dir, ckpt = train_only
+        result = runner.invoke(main, [
+            "report", "--ckpt-a", str(ckpt), "--ckpt-b", str(ckpt),
+            "--data-a", str(data_dir), "--data-b", str(data_dir), "--out", str(tmp_path / "g"),
+        ])
+        assert isinstance(result.exception, DataError), result.exception
+        assert "'test'" in str(result.exception)
+        assert not (tmp_path / "g.csv").exists()
+
+    def test_train_without_a_train_split_is_a_data_error(self, runner, tmp_path):
+        data_dir, cfg_path = generate(runner, tmp_path, 8, "0,0.5,0.5")
+        result = runner.invoke(main, [
+            "train", "--config", str(cfg_path), "--data", str(data_dir),
+            "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert isinstance(result.exception, DataError), result.exception
+        assert "'train'" in str(result.exception)
+        assert not (tmp_path / "m.ckpt").exists()
 
 
 # Each command's path options with the kind of path each takes, and the other

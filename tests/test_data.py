@@ -147,6 +147,21 @@ class TestSplit:
         assert [s.split for s in ds] == ["held-out"] + [""] * 19
         assert not any(s is t for p in parts for s in p for t in before)
 
+    def test_untagged_dataset_comes_back_whole(self, tmp_path):
+        # a folder without a manifest is one undivided set
+        save_dataset(generate_center(default_center_a(), 3, 16), tmp_path)
+        (tmp_path / "dataset.json").unlink()
+        ds = load_folder(tmp_path, input_size=16)
+        for name in ("train", "val", "test"):
+            assert ds.split(name).ids() == ds.ids()
+
+    def test_tagged_dataset_gives_exactly_its_split(self):
+        train, val, _ = split_dataset(self._dataset(10), ratios=(0.5, 0.5, 0.0), seed=1)
+        ds = Dataset(samples=train.samples + val.samples)
+        assert ds.split("val").ids() == val.ids()
+        with pytest.raises(DataError, match=r"'test'.*'train', 'val'"):
+            ds.split("test")
+
 
 class TestPnm:
     def test_roundtrip_bytes_exact(self, tmp_path):

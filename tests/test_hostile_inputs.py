@@ -69,6 +69,7 @@ def value_or_error(parse, arg, cls, error):
 
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+CONFIGS = (ModelConfig, TrainConfig, CenterSpec)
 
 
 class TestConfigs:
@@ -94,7 +95,8 @@ class TestConfigs:
             path = os.path.join(tmp, "train.json")
             with open(path, "wb") as f:
                 f.write(blob)
-            value_or_error(TrainConfig.from_json, path, TrainConfig, ConfigError)
+            for cls in CONFIGS:
+                value_or_error(cls.from_json, path, cls, ConfigError)
 
     @pytest.mark.parametrize("d", [
         {"bogus": 1}, {"lr": "x"}, {"batch_size": None}, [], {"model": "x"},
@@ -125,8 +127,15 @@ class TestConfigs:
     def test_deeply_nested_file(self, tmp_path):
         path = tmp_path / "train.json"
         path.write_text("[" * 100000)
-        with pytest.raises(ConfigError):
-            TrainConfig.from_json(path)
+        for cls in CONFIGS:
+            with pytest.raises(ConfigError):
+                cls.from_json(path)
+
+    @pytest.mark.parametrize("cls", CONFIGS, ids=lambda c: c.__name__)
+    def test_one_config_mechanism(self, cls):
+        # construction checks and the JSON round trip live in errors.Config only
+        for name in ("__post_init__", "to_dict", "from_dict", "from_json"):
+            assert name not in vars(cls), f"{cls.__name__} defines its own {name}"
 
     def test_partial_dicts_fill_defaults(self):
         assert ModelConfig.from_dict({"input_size": 64}) == ModelConfig(input_size=64)
