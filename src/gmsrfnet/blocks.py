@@ -41,14 +41,19 @@ def he_weight(rng, shape, fan_in, act="leaky_relu"):
 class Arena:
     """A layer tree's state in flat arrays, built by one walk of its registry.
 
-    Every parameter's ``data`` and ``grad`` is a view of ``params`` and
-    ``grads``, every batch-norm running buffer a view of ``buffers``.
+    Every parameter's ``data`` is a view of ``params`` and every batch-norm
+    running buffer a view of ``buffers``. ``grads`` is allocated on first
+    read; from then on every parameter's ``grad`` is a view of it.
     ``names``, ``shapes`` and element ``offsets`` list the parameters, then
     the buffers, in registry order, which is the checkpoint payload order.
     ``layers`` is the tree in pre-order, its root as a weak proxy so that no
-    reference cycle keeps a dropped model alive. ``check(names, shapes)``,
-    when given, runs after the walk and before the flat arrays are
-    allocated, so it can refuse a tree without paying for its state.
+    reference cycle keeps a dropped model alive.
+
+    ``check(names, shapes)``, when given, runs after the walk and before the
+    flat arrays are allocated, so it can refuse a tree without paying for
+    its state. It may return every value in payload order, such as a
+    checkpoint's payload; ``params`` and ``buffers`` are then one copy each
+    of its two blocks instead of the layers' own values.
     """
 
     def __init__(self, root, check=None):
@@ -60,14 +65,19 @@ class Arena:
         dtypes = {a.dtype for a in arrays} or {np.dtype(DEFAULT_DTYPE)}
         if len(dtypes) > 1:
             raise UsageError(f"layer state mixes dtypes {sorted(d.name for d in dtypes)}")
+        dtype = dtypes.pop()
         self.shapes = [a.shape for a in arrays]
-        if check is not None:
-            check(self.names, self.shapes)
+        values = None if check is None else check(self.names, self.shapes)
         self.offsets = list(itertools.accumulate((a.size for a in arrays), initial=0))
-        empty, n = np.empty(0, dtypes.pop()), len(self.tensors)
-        self.params, self.buffers = (np.concatenate([a.reshape(-1) for a in part] + [empty])
-                                     for part in (arrays[:n], arrays[n:]))
-        self.grads = np.zeros_like(self.params)
+        n = len(self.tensors)
+        if values is None:
+            empty = np.empty(0, dtype)
+            self.params, self.buffers = (np.concatenate([a.reshape(-1) for a in part] + [empty])
+                                         for part in (arrays[:n], arrays[n:]))
+        else:
+            split = self.offsets[n]
+            self.params, self.buffers = values[:split].astype(dtype), values[split:].astype(dtype)
+        self._grads = None
         self.bind()
 
     def _visit(self, prefix, value):
@@ -90,17 +100,33 @@ class Arena:
                     self.tensors.append(attr)
             elif isinstance(attr, (Layer, list, tuple)):
                 children.append((prefix + name + ".", attr))
-        self.slots += [(prefix + name, value, name) for name in value._buffers]
+        for name in value._buffers:
+            self.slots.append((prefix + name, value, name))
         for child_prefix, child in children:
             self._visit(child_prefix, child)
 
+    @property
+    def grads(self):
+        """The flat gradient of ``params``, allocated on first read. A
+        gradient that a backward pass left on a parameter before then is
+        kept: it moves into its slice."""
+        if self._grads is None:
+            self._grads = grads = np.zeros_like(self.params)
+            for t, a, b in zip(self.tensors, self.offsets, self.offsets[1:]):
+                if t.grad is not None:
+                    grads[a:b] = t.grad.reshape(-1)
+            self.bind()
+        return self._grads
+
     def bind(self):
-        """Point every parameter, gradient and buffer at its slice."""
+        """Point every parameter, allocated gradient and buffer at its slice."""
         spans = zip(self.shapes, self.offsets, self.offsets[1:])  # parameters, then buffers
+        params, grads = self.params, self._grads
         for t, (shape, a, b) in zip(self.tensors, spans):
-            t.data = self.params[a:b].reshape(shape)
-            t.grad = self.grads[a:b].reshape(shape)
-        base = self.params.size
+            t.data = params[a:b].reshape(shape)
+            if grads is not None:
+                t.grad = grads[a:b].reshape(shape)
+        base = params.size
         for (_, layer, name), (shape, a, b) in zip(self.slots, spans):
             setattr(layer, name, self.buffers[a - base : b - base].reshape(shape))
 
@@ -138,7 +164,7 @@ class Layer:
         self. Layers build float32; gradient checks use ``astype(np.float64)``.
         An optimizer made before the cast keeps working."""
         arena = self.arena
-        arena.params, arena.grads, arena.buffers = (
+        arena.params, arena._grads, arena.buffers = (
             a.astype(dtype) for a in (arena.params, arena.grads, arena.buffers))
         arena.bind()
         return self

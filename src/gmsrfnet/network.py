@@ -163,12 +163,16 @@ def build_model(config):
 # header: {"config": {...}, "tensors": _index(names, shapes)}
 
 
-def _index(names, shapes):
-    """The header's tensor index: each tensor's shape and the byte sum of the
-    tensors before it, in payload order."""
+def _index_entries(names, shapes):
+    """The header's tensor index as (name, entry) pairs: each tensor's shape
+    and the byte sum of the tensors before it, in payload order."""
     offsets = itertools.accumulate((4 * math.prod(shape) for shape in shapes), initial=0)
-    return {name: {"shape": list(shape), "offset": offset}
-            for name, shape, offset in zip(names, shapes, offsets)}
+    return ((name, {"shape": list(shape), "offset": offset})
+            for name, shape, offset in zip(names, shapes, offsets))
+
+
+def _index(names, shapes):
+    return dict(_index_entries(names, shapes))
 
 
 def save_checkpoint(model, path):
@@ -196,18 +200,27 @@ def save_checkpoint(model, path):
 
 
 class _NoDraws:
-    """Init RNG of a model whose every value a checkpoint overwrites: zeros
-    for at most ``budget`` weight values, then CorruptionError (each bias or
-    batch-norm array follows a weight at least as large)."""
+    """Init RNG of a model whose every value a checkpoint overwrites: each
+    draw is a read-only view of the leading ``values`` (the payload being
+    loaded, so no draw allocates), or zeros without them. At most ``budget``
+    values are drawn in all, then CorruptionError (each bias or batch-norm
+    array follows a weight at least as large)."""
 
-    def __init__(self, budget):
+    def __init__(self, budget, values=None):
         self.budget = budget
+        self.values = values
 
     def normal(self, loc, scale, size):
-        self.budget -= math.prod(size)
+        count = math.prod(size)
+        self.budget -= count
         if self.budget < 0:
             raise CorruptionError("checkpoint truncated in payload")
-        return np.zeros(size, np.float32)
+        if self.values is None:
+            return np.zeros(size, np.float32)
+        return self.values[:count].reshape(size)
+
+
+_INDEX_MISMATCH = "checkpoint tensor index does not match the config's tensors"
 
 
 def _described_values(index):
@@ -224,8 +237,9 @@ def load_checkpoint(path):
     equal the index of the stored config's model, and the payload must be
     that long and match its CRC, all before the model's arena is allocated:
     header values are only compared, never used to size or slice, and a
-    config larger than the payload fails before its model is. The params
-    and buffers blocks are each copied into the arena in one step."""
+    config larger than the payload fails before its model is. The layer
+    tree is built on views of the payload, and the arena's params and
+    buffers are one copy each of the payload's two blocks."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -246,8 +260,10 @@ def load_checkpoint(path):
     payload = memoryview(blob)[pos + header_len : -4]
 
     def check(names, shapes):
-        if index != _index(names, shapes):
-            raise FormatError("checkpoint tensor index does not match the config's tensors")
+        # entry by entry, equal by JSON value: 1.0 loads for 1, an extra key fails
+        if not (isinstance(index, dict) and len(index) == len(names) and all(
+                index.get(name) == entry for name, entry in _index_entries(names, shapes))):
+            raise FormatError(_INDEX_MISMATCH)
         extra = len(payload) - 4 * sum(math.prod(shape) for shape in shapes)
         if extra < 0:
             raise CorruptionError("checkpoint truncated in payload")
@@ -255,17 +271,18 @@ def load_checkpoint(path):
             raise CorruptionError(f"{extra} trailing bytes after the checkpoint CRC")
         if zlib.crc32(payload) != int.from_bytes(blob[-4:], "little"):
             raise CorruptionError("checkpoint payload CRC mismatch")
+        index.clear()  # the parsed index is freed before the arena is allocated
+        return np.frombuffer(payload, "<f4")
 
-    # the model's init arrays are zeros, no more than the payload holds; the
-    # arena, which writes every byte, is only allocated once check passes
+    # the tree draws no more values than the payload holds; the arena, which
+    # copies the payload, is only allocated once check passes
+    size = len(payload) // 4
     try:
-        model = SegmentationModel(config, rng=_NoDraws(len(payload) // 4))
+        model = SegmentationModel(
+            config, rng=_NoDraws(size, np.frombuffer(payload, np.float32, count=size)))
     except CorruptionError:  # truncated only if its own index says so
-        if _described_values(index) > len(payload) // 4:
+        if _described_values(index) > size:
             raise
-        raise FormatError("checkpoint tensor index does not match the config's tensors") from None
-    model._arena = arena = Arena(model, check)
-    count = arena.params.size
-    arena.params[...] = np.frombuffer(payload, "<f4", count=count)
-    arena.buffers[...] = np.frombuffer(payload, "<f4", offset=4 * count)
+        raise FormatError(_INDEX_MISMATCH) from None
+    model._arena = Arena(model, check)
     return model

@@ -33,7 +33,7 @@ class Adam:
         self.m = np.zeros_like(arena.params)
         self.v = np.zeros_like(arena.params)
         self._scratch = np.empty((2,) + arena.params.shape, arena.params.dtype)
-        self._finite = np.empty(arena.params.shape, bool)
+        self._finite = np.empty(arena.grads.shape, bool)  # reading grads allocates them
 
     def zero_grad(self):
         self.arena.grads.fill(0)

@@ -525,7 +525,10 @@ def batch_norm(x, gamma, beta, state, training, act="linear"):
     two-pass variance over the M = N*H*W values of each channel, and blends
     the running statistics by ``BN_MOMENTUM``; at M = 1 the output is
     act(beta) and the input gradient zero. Eval mode normalizes by the
-    running statistics and requires at least one prior training update.
+    running statistics and requires at least one prior training update. It
+    computes (x - running_mean) * (gamma / std) + beta, subtracting first so
+    that a large running mean costs no float32 precision, and its backward
+    rebuilds xhat from x.
 
     The closed-form backward reads the leaky mask from the output's sign,
     which a positive slope keeps equal to the pre-activation's.
@@ -554,29 +557,32 @@ def batch_norm(x, gamma, beta, state, training, act="linear"):
         state.running_var *= 1 - m
         state.running_var += m * unbiased
         state.num_updates += 1
+        inv_std = 1.0 / np.sqrt(var + dt(BN_EPS))
+        xhat *= inv_std
+        y = xhat * gamma.data
     else:
         if not state.num_updates.item() > 0:
             raise StateError("batch_norm: eval mode before any training update")
-        xhat = x.data - state.running_mean
-        var = state.running_var
-    inv_std = 1.0 / np.sqrt(var + dt(BN_EPS))
-    xhat *= inv_std
-    y = xhat * gamma.data
+        mean = state.running_mean.copy()  # the backward rebuilds xhat from it
+        std = np.sqrt(state.running_var + dt(BN_EPS))
+        y = x.data - mean
+        y *= gamma.data / std
     y += beta.data
     leaky = act == "leaky_relu"
     if leaky:
         slope = dt(LEAKY_ALPHA)
-        y = np.maximum(y, y * slope)
+        np.maximum(y, y * slope, out=y)
 
     def backward_fn(g):
         g_z = np.where(y > 0, g, g * slope) if leaky else g
         g_beta = _channel_sum(g_z)
+        if not training:
+            return g_z * (gamma.data / std), _channel_sum(g_z, x.data - mean) / std, g_beta
         g_gamma = _channel_sum(g_z, xhat)
         k = gamma.data * inv_std
         g_x = g_z * k
-        if training:
-            g_x -= xhat * (k * g_gamma / count)
-            g_x -= k * g_beta / count
+        g_x -= xhat * (k * g_gamma / count)
+        g_x -= k * g_beta / count
         return g_x, g_gamma, g_beta
 
     return _record(y, [x, gamma, beta], backward_fn)

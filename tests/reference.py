@@ -178,6 +178,27 @@ def batchnorm_loops(x, gamma, beta, eps=1e-5):
     return y
 
 
+def batchnorm_eval_loops(x, gamma, beta, mean, var, g, slope=1.0, eps=1e-5):
+    """Hand eval-mode batch normalization by the given running statistics,
+    batchnorm_loops' formula with mean and var fixed, then a leaky relu of
+    ``slope``; returns y and, for the upstream gradient g, the gradients of
+    sum(g * y) in x, gamma and beta."""
+    n, c, h, w = x.shape
+    y = np.zeros_like(x, dtype=np.float64)
+    g_x = np.zeros_like(y)
+    g_gamma, g_beta = np.zeros(c), np.zeros(c)
+    for ci in range(c):
+        inv_std = 1.0 / np.sqrt(var[ci] + eps)
+        xhat = (x[:, ci].astype(np.float64) - mean[ci]) * inv_std
+        z = gamma[ci] * xhat + beta[ci]
+        g_z = np.where(z > 0, g[:, ci], slope * g[:, ci])
+        y[:, ci] = np.where(z > 0, z, slope * z)
+        g_x[:, ci] = g_z * gamma[ci] * inv_std
+        g_gamma[ci] = (g_z * xhat).sum()
+        g_beta[ci] = g_z.sum()
+    return y, g_x, g_gamma, g_beta
+
+
 def adam_first_step(theta, g, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Closed-form first Adam step from zero moments."""
     m_hat = g                      # m1 / (1 - beta1)

@@ -2,12 +2,15 @@
 import hashlib
 import json
 import math
+import os
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
 from gmsrfnet.errors import ConfigError, CorruptionError, FormatError, ShapeError
+from gmsrfnet.gradchecks import MICRO_CONFIG, MODEL_TOL, jitter_parameters, max_grad_error
 from gmsrfnet.losses import total_loss
 from gmsrfnet.network import (
     CHECKPOINT_MAGIC,
@@ -238,6 +241,83 @@ class TestAstype:
         assert model.arena.params.dtype == adam.m.dtype == np.float64
         assert not np.array_equal(start, model.arena.params)
         assert all(p.data.base is model.arena.params for p in model.parameters())
+
+
+def protocol_batch(seed, n=2):
+    rng = np.random.default_rng(seed)
+    size = PROTOCOL_MODEL["input_size"]
+    image = Tensor(rng.uniform(0, 1, (n, 3, size, size)).astype(np.float32))
+    return image, (rng.uniform(0, 1, (n, 1, size, size)) > 0.7).astype(np.float32)
+
+
+class TestLoadedModel:
+    @pytest.mark.parametrize("adam_first", [True, False], ids=["adam_first", "backward_first"])
+    def test_trains_bitwise_like_the_built_model(self, tmp_path, adam_first):
+        built = build_model(ModelConfig(seed=6, **PROTOCOL_MODEL))
+        save_checkpoint(built, tmp_path / "m.ckpt")
+        loaded = load_checkpoint(tmp_path / "m.ckpt")
+        models = (built, loaded)
+        adams = [Adam(m.arena, lr=1e-3) for m in models] if adam_first else [None, None]
+        for step in range(2):
+            image, target = protocol_batch(step)
+            for i, model in enumerate(models):
+                backward(total_loss(model(image), target))
+                if adams[i] is None:  # the backward left gradients before grads existed
+                    adams[i] = Adam(model.arena, lr=1e-3)
+                adams[i].step()
+                adams[i].zero_grad()
+        for model in models:
+            assert all(p.grad.base is model.arena.grads for p in model.parameters())
+        assert loaded.arena.params.tobytes() == built.arena.params.tobytes()
+        assert loaded.arena.buffers.tobytes() == built.arena.buffers.tobytes()
+
+    def test_gradients_land_in_the_arena(self, tmp_path):
+        built = build_model(ModelConfig(seed=6, **PROTOCOL_MODEL))
+        save_checkpoint(built, tmp_path / "m.ckpt")
+        loaded = load_checkpoint(tmp_path / "m.ckpt")
+        image, target = protocol_batch(3)
+        for model in (built, loaded):
+            backward(total_loss(model(image), target))
+            backward(total_loss(model(image), target))  # accumulates
+        grads = [m.arena.grads for m in (built, loaded)]
+        assert grads[0].tobytes() == grads[1].tobytes() and np.any(grads[1] != 0)
+        flat = np.concatenate([p.grad.ravel() for p in loaded.parameters()])
+        assert flat.tobytes() == grads[1].tobytes()
+
+    @pytest.mark.slow
+    def test_float64_loaded_model_passes_the_micro_gradcheck(self, tmp_path):
+        # gradchecks.model_checks on a loaded model in place of a built one
+        path = tmp_path / "micro.ckpt"
+        save_checkpoint(SegmentationModel(MICRO_CONFIG), path)
+        model = load_checkpoint(path).astype(np.float64)
+        rng = np.random.default_rng(0)
+        jitter_parameters(model, rng)
+        model.set_training(True)
+        data_rng = np.random.default_rng(11)
+        image = Tensor(data_rng.uniform(0.0, 1.0, (1, 3, 32, 32)),
+                       requires_grad=True, dtype=np.float64)
+        target = (data_rng.uniform(0, 1, (1, 1, 32, 32)) > 0.7).astype(np.float64)
+        err = max_grad_error(lambda: total_loss(model(image), target),
+                             [image] + model.parameters(), max_coords=6, rng=rng)
+        assert err < MODEL_TOL
+
+    def test_paper_default_load_memory_bound(self, tmp_path):
+        # the file, one copy of its payload and at most 1 MiB besides: the
+        # layer tree costs no init arrays and the load allocates no gradients
+        path = tmp_path / "paper.ckpt"
+        save_checkpoint(build_model(ModelConfig()), path)
+        file_size = os.path.getsize(path)
+        payload_size = file_size - len(CHECKPOINT_MAGIC) - 8 - int.from_bytes(
+            path.read_bytes()[6:10], "little")
+        tracemalloc.start()
+        try:
+            model = load_checkpoint(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= file_size + payload_size + 2**20
+        assert kept <= payload_size + 2**20
+        assert all(p.grad is None for p in model.parameters())
 
 
 def replace_header(header):

@@ -26,6 +26,7 @@ def params_with_grads(values, grads, dtype=np.float64):
     # float64 so the closed-form first-step algebra is checked without
     # float32 quantization noise
     layer = scalar_layer(values, [dtype] * len(values))
+    layer.arena.grads  # allocates the gradient views
     named = list(zip(layer.arena.names, layer.arena.tensors))
     for (_, p), g in zip(named, grads):
         if g is not None:

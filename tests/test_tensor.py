@@ -530,6 +530,48 @@ class TestBatchNorm:
                 numeric = (f_plus - f_minus) / (2 * h)
                 assert abs(analytic[j] - numeric) / max(1.0, abs(numeric)) < 1e-5
 
+    @pytest.mark.parametrize("shape,act", [
+        ((1, 3, 4, 6), "linear"), ((3, 2, 5, 3), "linear"),
+        ((1, 3, 4, 6), "leaky_relu"), ((3, 2, 5, 3), "leaky_relu"),
+    ], ids=["batch1", "batch3", "leaky_batch1", "leaky_batch3"])
+    def test_eval_float64_output_and_gradients_match_loop_oracle(self, shape, act):
+        rng = np.random.default_rng(sum(shape) + 40)
+        c = shape[1]
+        state = BatchNorm2d(c).astype(np.float64)
+        state.running_mean[...] = rng.normal(0.5, 1.0, (1, c, 1, 1))
+        state.running_var[...] = rng.uniform(0.3, 3.0, (1, c, 1, 1))
+        state.num_updates[...] = 4
+        x = Tensor(rng.normal(1.0, 2.0, shape), dtype=np.float64, requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, (1, c, 1, 1)), dtype=np.float64, requires_grad=True)
+        beta = Tensor(rng.normal(0, 0.3, (1, c, 1, 1)), dtype=np.float64, requires_grad=True)
+        g = rng.normal(size=shape)
+        y = T.batch_norm(x, gamma, beta, state, False, act=act)
+        backward(reference.sum_loss(y, g))
+        expected = reference.batchnorm_eval_loops(
+            x.data, gamma.data.ravel(), beta.data.ravel(), state.running_mean.ravel(),
+            state.running_var.ravel(), g, slope=1.0 if act == "linear" else 0.01)
+        for got, want in zip((y.data, x.grad, gamma.grad.ravel(), beta.grad.ravel()), expected):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_eval_large_running_mean_matches_float64_oracle(self):
+        # x - running_mean is exact near 1e4 in float32; scaling first would
+        # round x * gamma / std (~4e5 here) to ~0.03
+        rng = np.random.default_rng(12)
+        c = 4
+        state = BatchNorm2d(c)
+        state.running_mean[...] = 1e4 + rng.normal(0, 0.5, (1, c, 1, 1))
+        state.running_var[...] = rng.uniform(2e-3, 4e-3, (1, c, 1, 1))
+        state.num_updates[...] = 1
+        raw = (1e4 + rng.normal(size=(2, c, 8, 8))).astype(np.float32)
+        gamma, beta = [1.0, 0.5, 2.0, 1.5], [0.0, 0.1, -0.2, 0.3]
+        y = T.batch_norm(Tensor(raw), T.vector(gamma), T.vector(beta), state, False,
+                         act="leaky_relu")
+        oracle = reference.batchnorm_eval_loops(
+            raw, gamma, beta, state.running_mean.ravel().astype(np.float64),
+            state.running_var.ravel().astype(np.float64), np.ones(raw.shape), slope=0.01)[0]
+        assert y.data.dtype == np.float32
+        assert np.abs(y.data - oracle).max() < 1e-2
+
 
 class TestPoolLinearResize:
     def test_gap_mean(self):
