@@ -227,8 +227,9 @@ def block_checks(rng):
     return results
 
 
-def model_checks(rng):
-    model = SegmentationModel(MICRO_CONFIG).astype(np.float64)
+def model_error(model, rng):
+    """Worst relative gradient error of a float64 MICRO_CONFIG model, its
+    parameters jittered, on a fixed image and target in training mode."""
     jitter_parameters(model, rng)
     model.set_training(True)
     data_rng = np.random.default_rng(11)
@@ -239,7 +240,11 @@ def model_checks(rng):
     def f():
         return total_loss(model(image), target)
 
-    err = max_grad_error(f, [image] + model.parameters(), max_coords=6, rng=rng)
+    return max_grad_error(f, [image] + model.parameters(), max_coords=6, rng=rng)
+
+
+def model_checks(rng):
+    err = model_error(SegmentationModel(MICRO_CONFIG).astype(np.float64), rng)
     return [CheckResult("micro_model_end_to_end", err, MODEL_TOL)]
 
 

@@ -160,10 +160,10 @@ def build_model(config):
 #         | payload (raw little-endian float32 in index order: the arena's
 #           params block, then its buffers block)
 #         | uint32 LE CRC-32 of the payload
-# header: {"config": {...}, "tensors": _index(names, shapes)}
+# header: {"config": {...}, "tensors": dict(_index(names, shapes))}
 
 
-def _index_entries(names, shapes):
+def _index(names, shapes):
     """The header's tensor index as (name, entry) pairs: each tensor's shape
     and the byte sum of the tensors before it, in payload order."""
     offsets = itertools.accumulate((4 * math.prod(shape) for shape in shapes), initial=0)
@@ -171,13 +171,9 @@ def _index_entries(names, shapes):
             for name, shape, offset in zip(names, shapes, offsets))
 
 
-def _index(names, shapes):
-    return dict(_index_entries(names, shapes))
-
-
 def save_checkpoint(model, path):
     arena = model.arena
-    index = _index(arena.names, arena.shapes)
+    index = dict(_index(arena.names, arena.shapes))
     payload = b"".join(np.ascontiguousarray(a, "<f4").tobytes() for a in (arena.params, arena.buffers))
     header = json.dumps({"config": model.config.to_dict(), "tensors": index}).encode()
 
@@ -201,22 +197,21 @@ def save_checkpoint(model, path):
 
 class _NoDraws:
     """Init RNG of a model whose every value a checkpoint overwrites: each
-    draw is a read-only view of the leading ``values`` (the payload being
-    loaded, so no draw allocates), or zeros without them. At most ``budget``
+    draw is a view of the leading ``values``, such as the payload being
+    loaded, so no draw allocates. (A zero-stride view would not do: Tensor
+    makes its data contiguous, which copies it.) At most ``values.size``
     values are drawn in all, then CorruptionError (each bias or batch-norm
     array follows a weight at least as large)."""
 
-    def __init__(self, budget, values=None):
-        self.budget = budget
+    def __init__(self, values):
         self.values = values
+        self.budget = values.size
 
     def normal(self, loc, scale, size):
         count = math.prod(size)
         self.budget -= count
         if self.budget < 0:
             raise CorruptionError("checkpoint truncated in payload")
-        if self.values is None:
-            return np.zeros(size, np.float32)
         return self.values[:count].reshape(size)
 
 
@@ -258,11 +253,12 @@ def load_checkpoint(path):
     except (ValueError, RecursionError, KeyError, TypeError, ConfigError) as e:
         raise FormatError(f"unreadable checkpoint header: {e}") from e
     payload = memoryview(blob)[pos + header_len : -4]
+    values = np.frombuffer(payload, "<f4", count=len(payload) // 4)
 
     def check(names, shapes):
         # entry by entry, equal by JSON value: 1.0 loads for 1, an extra key fails
         if not (isinstance(index, dict) and len(index) == len(names) and all(
-                index.get(name) == entry for name, entry in _index_entries(names, shapes))):
+                index.get(name) == entry for name, entry in _index(names, shapes))):
             raise FormatError(_INDEX_MISMATCH)
         extra = len(payload) - 4 * sum(math.prod(shape) for shape in shapes)
         if extra < 0:
@@ -272,16 +268,14 @@ def load_checkpoint(path):
         if zlib.crc32(payload) != int.from_bytes(blob[-4:], "little"):
             raise CorruptionError("checkpoint payload CRC mismatch")
         index.clear()  # the parsed index is freed before the arena is allocated
-        return np.frombuffer(payload, "<f4")
+        return values
 
     # the tree draws no more values than the payload holds; the arena, which
     # copies the payload, is only allocated once check passes
-    size = len(payload) // 4
     try:
-        model = SegmentationModel(
-            config, rng=_NoDraws(size, np.frombuffer(payload, np.float32, count=size)))
+        model = SegmentationModel(config, rng=_NoDraws(values))
     except CorruptionError:  # truncated only if its own index says so
-        if _described_values(index) > size:
+        if _described_values(index) > values.size:
             raise
         raise FormatError(_INDEX_MISMATCH) from None
     model._arena = Arena(model, check)

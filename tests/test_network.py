@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gmsrfnet.errors import ConfigError, CorruptionError, FormatError, ShapeError
-from gmsrfnet.gradchecks import MICRO_CONFIG, MODEL_TOL, jitter_parameters, max_grad_error
+from gmsrfnet.gradchecks import MICRO_CONFIG, MODEL_TOL, model_error
 from gmsrfnet.losses import total_loss
 from gmsrfnet.network import (
     CHECKPOINT_MAGIC,
@@ -290,16 +290,7 @@ class TestLoadedModel:
         path = tmp_path / "micro.ckpt"
         save_checkpoint(SegmentationModel(MICRO_CONFIG), path)
         model = load_checkpoint(path).astype(np.float64)
-        rng = np.random.default_rng(0)
-        jitter_parameters(model, rng)
-        model.set_training(True)
-        data_rng = np.random.default_rng(11)
-        image = Tensor(data_rng.uniform(0.0, 1.0, (1, 3, 32, 32)),
-                       requires_grad=True, dtype=np.float64)
-        target = (data_rng.uniform(0, 1, (1, 1, 32, 32)) > 0.7).astype(np.float64)
-        err = max_grad_error(lambda: total_loss(model(image), target),
-                             [image] + model.parameters(), max_coords=6, rng=rng)
-        assert err < MODEL_TOL
+        assert model_error(model, np.random.default_rng(0)) < MODEL_TOL
 
     def test_paper_default_load_memory_bound(self, tmp_path):
         # the file, one copy of its payload and at most 1 MiB besides: the
