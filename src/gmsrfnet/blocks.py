@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import weakref
 
 import numpy as np
 
@@ -46,8 +45,7 @@ class Arena:
     read; from then on every parameter's ``grad`` is a view of it.
     ``names``, ``shapes`` and element ``offsets`` list the parameters, then
     the buffers, in registry order, which is the checkpoint payload order.
-    ``layers`` is the tree in pre-order, its root as a weak proxy so that no
-    reference cycle keeps a dropped model alive.
+    ``slots`` lists each buffer as (name, layer, attribute).
 
     ``check(names, shapes)``, when given, runs after the walk and before the
     flat arrays are allocated, so it can refuse a tree without paying for
@@ -57,9 +55,8 @@ class Arena:
     """
 
     def __init__(self, root, check=None):
-        self.layers, self.names, self.tensors = [], [], []
-        self.slots = []  # (name, layer, attribute) of each buffer
-        self._visit("", weakref.proxy(root))
+        self.names, self.tensors, self.slots = [], [], []
+        self._visit("", root)
         self.names += [name for name, _, _ in self.slots]
         arrays = [t.data for t in self.tensors] + [getattr(l, attr) for _, l, attr in self.slots]
         dtypes = {a.dtype for a in arrays} or {np.dtype(DEFAULT_DTYPE)}
@@ -89,9 +86,8 @@ class Arena:
             return
         if not isinstance(value, Layer):
             return
-        if self.layers:  # below the root, whose arena this one becomes
+        if prefix:  # below the root, whose arena this one becomes
             value._arena = False
-        self.layers.append(value)
         children = []
         for name, attr in vars(value).items():
             if isinstance(attr, Tensor):
@@ -143,7 +139,6 @@ class Layer:
     _buffers = ()
 
     def __init__(self):
-        self.training = True
         self._arena = None  # built on first use; False inside another layer's arena
 
     @property
@@ -170,7 +165,8 @@ class Layer:
         return self
 
     def set_training(self, flag):
-        for layer in self.arena.layers:
+        """Put every batch norm in the tree into train or eval mode."""
+        for _, layer, _ in self.arena.slots:
             layer.training = bool(flag)
 
     def __call__(self, *args, **kwargs):
@@ -178,13 +174,15 @@ class Layer:
 
 
 class BatchNorm2d(Layer):
-    """Holder of a normalization's gamma/beta and running statistics; the
-    owning ConvBlock runs ``tensor.batch_norm`` with it as ``state``."""
+    """A normalization's gamma and beta, its running statistics and its
+    train/eval mode, the one mode flag in a layer tree; ``tensor.batch_norm``
+    reads them all."""
 
     _buffers = ("running_mean", "running_var", "num_updates")
 
     def __init__(self, channels):
         super().__init__()
+        self.training = True
         self.gamma = vector(np.ones(channels), requires_grad=True)
         self.beta = vector(np.zeros(channels), requires_grad=True)
         self.running_mean = np.zeros((1, channels, 1, 1), DEFAULT_DTYPE)
@@ -221,10 +219,9 @@ class ConvBlock(Layer):
             y = conv_transpose2d(x, self.weight, self.bias, self.stride, self.padding)
         else:
             y = conv2d(x, self.weight, self.bias, self.stride, self.padding, self.dilation)
-        bn = self.bn
-        if bn is None:
+        if self.bn is None:
             return y
-        return batch_norm(y, bn.gamma, bn.beta, bn, bn.training, act=self.act)
+        return batch_norm(y, self.bn, self.act)
 
 
 class SqueezeExcite(Layer):
@@ -305,23 +302,15 @@ class RfbBlock(Layer):
 
 
 class ResidualStage(Layer):
-    """Two conv blocks plus an identity or projected shortcut.
+    """Two conv blocks plus a projected shortcut, halving the spatial size:
+    the first conv and the 1x1 projection have stride 2, and the projection
+    also absorbs the channel change."""
 
-    downsample=True halves the spatial size (stride-2 first conv and
-    stride-2 1x1 projection); the projection also absorbs channel changes.
-    """
-
-    def __init__(self, rng, cin, cout, downsample=False):
+    def __init__(self, rng, cin, cout):
         super().__init__()
-        stride = 2 if downsample else 1
-        self.conv1 = ConvBlock(rng, cin, cout, 3, stride=stride, padding=1)
+        self.conv1 = ConvBlock(rng, cin, cout, 3, stride=2, padding=1)
         self.conv2 = ConvBlock(rng, cout, cout, 3, padding=1)
-        if downsample or cin != cout:
-            self.shortcut = ConvBlock(rng, cin, cout, 1, stride=stride, act="linear")
-        else:
-            self.shortcut = None
+        self.shortcut = ConvBlock(rng, cin, cout, 1, stride=2, act="linear")
 
     def forward(self, x):
-        y = self.conv2(self.conv1(x))
-        s = x if self.shortcut is None else self.shortcut(x)
-        return add(y, s)
+        return add(self.conv2(self.conv1(x)), self.shortcut(x))

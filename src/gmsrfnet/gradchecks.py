@@ -96,10 +96,10 @@ def _rand(rng, shape):
     return Tensor(rng.normal(0.0, 1.0, shape), requires_grad=True, dtype=np.float64)
 
 
-def _away_from_kink(rng, shape, margin=1e-2):
-    """Random values kept at least `margin` from zero (relu probing)."""
+def _away_from_kink(rng, shape):
+    """Random values kept at least 0.01 from zero (relu probing)."""
     x = rng.normal(0.0, 1.0, shape)
-    x = np.where(np.abs(x) < margin, np.sign(x) * 2 * margin + margin, x)
+    x = np.where(np.abs(x) < 1e-2, np.sign(x) * 2e-2 + 1e-2, x)
     return Tensor(x, requires_grad=True, dtype=np.float64)
 
 
@@ -108,12 +108,12 @@ def _sq_mean(y):
     return reduce_mean(T.mul(y, y))
 
 
-def jitter_parameters(layer, rng, scale=0.05):
-    """Randomize parameters in place; zero-initialized biases and norm shifts
-    would otherwise park activations exactly on the leaky-relu kink, where
-    finite differences are meaningless."""
+def jitter_parameters(layer, rng):
+    """Randomize parameters in place by N(0, 0.05); zero-initialized biases
+    and norm shifts would otherwise park activations exactly on the
+    leaky-relu kink, where finite differences are meaningless."""
     params = layer.arena.params
-    params += rng.normal(0.0, scale, params.size)
+    params += rng.normal(0.0, 0.05, params.size)
 
 
 def _check(name, f, inputs, tol=OP_TOL, max_coords=None, rng=None):
@@ -156,25 +156,15 @@ def op_checks(rng):
     results.append(_check("sigmoid", lambda: _sq_mean(T.sigmoid(s)), [s]))
 
     bx = _rand(rng, (3, 4, 5, 5))
-    gamma = Tensor(rng.uniform(0.5, 1.5, (1, 4, 1, 1)), requires_grad=True, dtype=np.float64)
-    beta = Tensor(rng.normal(0, 0.2, (1, 4, 1, 1)), requires_grad=True, dtype=np.float64)
-    state = BatchNorm2d(4).astype(np.float64)
-    results.append(_check(
-        "batch_norm_train",
-        lambda: _sq_mean(T.batch_norm(bx, gamma, beta, state, True)),
-        [bx, gamma, beta]))
-    results.append(_check(
-        "batch_norm_eval",
-        lambda: _sq_mean(T.batch_norm(bx, gamma, beta, state, False)),
-        [bx, gamma, beta]))
-    results.append(_check(
-        "batch_norm_leaky_train",
-        lambda: _sq_mean(T.batch_norm(bx, gamma, beta, state, True, act="leaky_relu")),
-        [bx, gamma, beta]))
-    results.append(_check(
-        "batch_norm_leaky_eval",
-        lambda: _sq_mean(T.batch_norm(bx, gamma, beta, state, False, act="leaky_relu")),
-        [bx, gamma, beta]))
+    bn = BatchNorm2d(4).astype(np.float64)
+    bn.gamma.data[...] = rng.uniform(0.5, 1.5, (1, 4, 1, 1))
+    bn.beta.data[...] = rng.normal(0, 0.2, (1, 4, 1, 1))
+    # each eval row reads the running statistics that the train row before it left
+    for name, act in (("batch_norm", "linear"), ("batch_norm_leaky", "leaky_relu")):
+        for mode, training in (("train", True), ("eval", False)):
+            bn.set_training(training)
+            results.append(_check(f"{name}_{mode}", lambda: _sq_mean(T.batch_norm(bx, bn, act)),
+                                  [bx, bn.gamma, bn.beta]))
 
     g = _rand(rng, (2, 3, 4, 6))
     results.append(_check("global_avg_pool", lambda: _sq_mean(T.global_avg_pool(g)), [g]))
@@ -202,7 +192,7 @@ def block_checks(rng):
         ("resampler_up2", lambda: Resampler(rng, 3, 3, 1), (1, 3, 2, 2), 60),
         ("resampler_down2", lambda: Resampler(rng, 3, 1, 3), (1, 3, 8, 8), 60),
         ("rfb_reduce", lambda: RfbBlock(rng, 6, 4), (1, 6, 12, 12), 40),
-        ("residual_stage", lambda: ResidualStage(rng, 3, 5, downsample=True), (1, 3, 8, 8), 40),
+        ("residual_stage", lambda: ResidualStage(rng, 3, 5), (1, 3, 8, 8), 40),
     ]
     # each block is built, jittered, probed and checked before the next one
     # is built, which fixes the draws every check sees

@@ -58,7 +58,7 @@ class Encoder(Layer):
         c0 = config.rfb_channels
         self.stem = ConvBlock(rng, 3, w1, 3, stride=2, padding=1)
         self.stages = [
-            ResidualStage(rng, cin, cout, downsample=True)
+            ResidualStage(rng, cin, cout)
             for cin, cout in zip((w1, w1, w2, w3), (w1, w2, w3, w4))
         ]
         self.reducers = [RfbBlock(rng, w, c0) for w in (w1, w2, w3, w4)]

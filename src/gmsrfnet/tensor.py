@@ -96,9 +96,9 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
 
-def vector(values, requires_grad=False, dtype=DEFAULT_DTYPE):
+def vector(values, requires_grad=False):
     """Length-C vector as a (1, C, 1, 1) tensor (bias convention)."""
-    arr = np.asarray(values, dtype)
+    arr = np.asarray(values, DEFAULT_DTYPE)
     if arr.ndim != 1:
         raise ShapeError(f"vector expects 1-D values, got shape {arr.shape}")
     return Tensor(arr.reshape(1, -1, 1, 1), requires_grad=requires_grad)
@@ -513,21 +513,22 @@ def _channel_sum(a, b=None):
     return s.reshape(1, c, 1, 1)
 
 
-def batch_norm(x, gamma, beta, state, training, act="linear"):
+def batch_norm(x, bn, act="linear"):
     """Per-channel batch normalization with running statistics, followed by
     the activation ``act`` ("linear" or "leaky_relu" with slope
     ``LEAKY_ALPHA``), recorded as one op.
 
-    ``state`` is any object holding the (1, C, 1, 1) arrays
-    ``running_mean`` and ``running_var`` and the (1, 1, 1, 1) update count
-    ``num_updates``, such as a ``blocks.BatchNorm2d``; train mode updates
-    them in place. Train mode normalizes by the batch mean and the centred
-    two-pass variance over the M = N*H*W values of each channel, and blends
-    the running statistics by ``BN_MOMENTUM``; at M = 1 the output is
-    act(beta) and the input gradient zero. Eval mode normalizes by the
-    running statistics and requires at least one prior training update. It
-    computes (x - running_mean) * (gamma / std) + beta, subtracting first so
-    that a large running mean costs no float32 precision, and its backward
+    ``bn`` is a ``blocks.BatchNorm2d``: the (1, C, 1, 1) parameters
+    ``gamma`` and ``beta``, the (1, C, 1, 1) arrays ``running_mean`` and
+    ``running_var``, the (1, 1, 1, 1) update count ``num_updates`` and the
+    mode flag ``training``. Train mode updates the statistics in place. It
+    normalizes by the batch mean and the centred two-pass variance over the
+    M = N*H*W values of each channel, and blends the running statistics by
+    ``BN_MOMENTUM``; at M = 1 the output is act(beta) and the input
+    gradient zero. Eval mode normalizes by the running statistics and
+    requires at least one prior training update. It computes
+    (x - running_mean) * (gamma / std) + beta, subtracting first so that a
+    large running mean costs no float32 precision, and its backward
     rebuilds xhat from x.
 
     The closed-form backward reads the leaky mask from the output's sign,
@@ -536,14 +537,9 @@ def batch_norm(x, gamma, beta, state, training, act="linear"):
     if act not in ("linear", "leaky_relu"):
         raise UsageError(f"batch_norm: unsupported activation {act!r}")
     n, c, h, w = x.shape
-    if gamma.shape != (1, c, 1, 1) or beta.shape != (1, c, 1, 1):
-        raise ShapeError(
-            f"batch_norm: gamma {gamma.shape} / beta {beta.shape} do not match {c} channels"
-        )
-    if state.running_mean.shape[1] != c:
-        raise ShapeError(
-            f"batch_norm: state holds {state.running_mean.shape[1]} channels, input has {c}"
-        )
+    gamma, beta, training = bn.gamma, bn.beta, bn.training
+    if gamma.shape != (1, c, 1, 1):
+        raise ShapeError(f"batch_norm: a {gamma.shape[1]}-channel norm, input has {c} channels")
     dt = x.data.dtype.type
     count = n * h * w
     if training:
@@ -552,19 +548,19 @@ def batch_norm(x, gamma, beta, state, training, act="linear"):
         var = _channel_sum(xhat, xhat) / count
         unbiased = var * (count / (count - 1)) if count > 1 else var
         m = dt(BN_MOMENTUM)
-        state.running_mean *= 1 - m
-        state.running_mean += m * mean
-        state.running_var *= 1 - m
-        state.running_var += m * unbiased
-        state.num_updates += 1
+        bn.running_mean *= 1 - m
+        bn.running_mean += m * mean
+        bn.running_var *= 1 - m
+        bn.running_var += m * unbiased
+        bn.num_updates += 1
         inv_std = 1.0 / np.sqrt(var + dt(BN_EPS))
         xhat *= inv_std
         y = xhat * gamma.data
     else:
-        if not state.num_updates.item() > 0:
+        if not bn.num_updates.item() > 0:
             raise StateError("batch_norm: eval mode before any training update")
-        mean = state.running_mean.copy()  # the backward rebuilds xhat from it
-        std = np.sqrt(state.running_var + dt(BN_EPS))
+        mean = bn.running_mean.copy()  # the backward rebuilds xhat from it
+        std = np.sqrt(bn.running_var + dt(BN_EPS))
         y = x.data - mean
         y *= gamma.data / std
     y += beta.data

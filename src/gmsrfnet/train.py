@@ -73,6 +73,16 @@ def _check_samples(dataset, size):
                 raise FormatError(f"sample {s.id}: {what} holds non-finite values")
 
 
+def _check_output(what, *paths):
+    """Raise UsageError if a file in ``paths`` could not be written: it is a
+    directory, or its directory does not exist."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise UsageError(f"{what} {path!r} is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise UsageError(f"{what} {path!r} is in a directory that does not exist")
+
+
 def _stack_batch(samples):
     images = np.stack([s.image for s in samples]).astype(np.float32)
     masks = np.stack([s.mask for s in samples]).astype(np.float32)
@@ -106,10 +116,8 @@ def train(cfg, train_set, val_set=None, out_path=None, log_path=None):
     raises FormatError.
     """
     for what, path in (("out_path", out_path), ("log_path", log_path)):
-        if path and os.path.isdir(path):
-            raise UsageError(f"{what} {path!r} is a directory")
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
-            raise UsageError(f"{what} {path!r} is in a directory that does not exist")
+        if path:
+            _check_output(what, path)
     if len(train_set) == 0:
         raise ConfigError("training set is empty")
     for dataset in (train_set, val_set or ()):
@@ -198,7 +206,10 @@ def evaluate_model(model, dataset, label="", batch_size=8):
 
 def evaluate(checkpoint, dataset, out_base=None, label=""):
     """Evaluate a checkpoint (path or loaded model) on a dataset; optionally
-    write <out_base>.csv and <out_base>.json."""
+    write <out_base>.csv and <out_base>.json. An output that could not be
+    written raises UsageError before the checkpoint is loaded."""
+    if out_base:
+        _check_output("out_base", out_base + ".csv", out_base + ".json")
     model = load_checkpoint(checkpoint) if isinstance(checkpoint, (str, os.PathLike)) else checkpoint
     _check_samples(dataset, model.config.input_size)
     report = evaluate_model(model, dataset, label or dataset.center_id)
@@ -210,7 +221,9 @@ def evaluate(checkpoint, dataset, out_base=None, label=""):
 
 def predict(checkpoint_path, image_path, out_mask_path):
     """Segment one PPM image; writes a {0, 255} P5 mask at the input's own
-    resolution."""
+    resolution. An out_mask_path that could not be written raises
+    UsageError before the checkpoint is loaded."""
+    _check_output("out_mask_path", out_mask_path)
     model = load_checkpoint(checkpoint_path)
     size = model.config.input_size
     image = read_pnm(image_path)
@@ -233,7 +246,10 @@ def predict(checkpoint_path, image_path, out_mask_path):
 def generalization_report(model_a, model_b, data_a, data_b, out_base=None):
     """2x2 cross-center evaluation of two loaded models: each on its own
     test split (``Dataset.split``) and on the other center's full dataset,
-    with the source-minus-unseen DSC gap."""
+    with the source-minus-unseen DSC gap. An output that could not be
+    written raises UsageError before any evaluation."""
+    if out_base:
+        _check_output("out_base", out_base + ".csv", out_base + ".json")
     rows = []
     for name, model, source, unseen in (
         ("model-a", model_a, data_a.split("test"), data_b),

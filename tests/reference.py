@@ -1,11 +1,13 @@
-"""Independent brute-force oracles used by the tests, and the scalar loss
-that seeds a backward pass with a chosen upstream gradient.
+"""Independent brute-force oracles used by the tests, the scalar loss
+that seeds a backward pass with a chosen upstream gradient, and a batch
+norm filled with chosen parameters.
 
 The oracles are written as plain nested loops over definitions, on purpose:
 they share no code with the library paths they check.
 """
 import numpy as np
 
+from gmsrfnet.blocks import BatchNorm2d
 from gmsrfnet.tensor import _record
 
 
@@ -15,6 +17,16 @@ def sum_loss(y, g=None):
     propagates the upstream gradient g into y's graph."""
     g = np.ones(y.shape, y.dtype) if g is None else np.array(g, y.dtype)
     return _record((y.data * g).sum().reshape(1, 1, 1, 1), [y], lambda _: (g,))
+
+
+def norm(gamma, beta, training=True, dtype=np.float32):
+    """A fresh BatchNorm2d in ``dtype`` whose gamma and beta hold the given
+    per-channel values, in train or eval mode."""
+    bn = BatchNorm2d(np.size(gamma)).astype(dtype)
+    bn.gamma.data[...] = np.reshape(gamma, bn.gamma.shape)
+    bn.beta.data[...] = np.reshape(beta, bn.beta.shape)
+    bn.training = training
+    return bn
 
 
 def conv2d_loops(x, w, b=None, stride=1, padding=0, dilation=1):

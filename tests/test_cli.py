@@ -171,6 +171,28 @@ class TestTrainEvalPredict:
         assert isinstance(result.exception, UsageError), result.exception
         assert sorted(base.rglob("*")) == before
 
+    @pytest.mark.parametrize("command", ["eval", "report", "predict"])
+    def test_missing_output_directory_is_a_usage_error_before_the_work(self, workspace, runner,
+                                                                       command):
+        base, data_dir, cfg_path = workspace
+        ckpt, img = base / "model.ckpt", base / "probe.ppm"
+        result = runner.invoke(main, [
+            "train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(ckpt),
+        ])
+        assert result.exit_code == 0, result.output
+        write_pnm(generate_center(default_center_a(seed=33), 1, 32)[0].image, str(img))
+        before = sorted(base.rglob("*"))
+        out = str(base / "nodir" / "out")
+        args = {
+            "eval": ["--ckpt", str(ckpt), "--data", str(data_dir), "--report", out],
+            "report": ["--ckpt-a", str(ckpt), "--ckpt-b", str(ckpt), "--data-a", str(data_dir),
+                       "--data-b", str(data_dir), "--out", out],
+            "predict": ["--ckpt", str(ckpt), "--image", str(img), "--out", out],
+        }[command]
+        result = runner.invoke(main, [command] + args)
+        assert isinstance(result.exception, UsageError), result.exception
+        assert sorted(base.rglob("*")) == before
+
     def test_unknown_eval_split_is_a_usage_error(self, runner, tmp_path):
         # a misspelt split once evaluated every sample, train split included
         ckpt, data_dir = tmp_path / "m.ckpt", tmp_path / "data"

@@ -187,6 +187,7 @@ class TestModuleForward:
         with pytest.raises(ShapeError):
             module(tuple(bundle))
 
+    @pytest.mark.slow
     def test_gradcheck_micro_module(self, rng):
         from gmsrfnet.gradchecks import jitter_parameters
 

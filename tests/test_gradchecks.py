@@ -15,6 +15,7 @@ class TestSuite:
         assert not failing, failing
         assert len(results) >= 20
 
+    @pytest.mark.slow
     def test_block_scope_all_pass(self):
         results = run_suite("block")
         failing = [(r.name, r.max_error) for r in results if not r.passed]

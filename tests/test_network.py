@@ -1,9 +1,11 @@
 """Full model wiring, parameter registry, and checkpoint persistence."""
+import gc
 import hashlib
 import json
 import math
 import os
 import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
@@ -24,7 +26,7 @@ from gmsrfnet.network import (
     save_checkpoint,
 )
 from gmsrfnet.optim import Adam
-from gmsrfnet.tensor import Tensor, backward
+from gmsrfnet.tensor import Tensor, backward, no_grad
 
 from test_acceptance import PROTOCOL_MODEL
 
@@ -291,6 +293,29 @@ class TestLoadedModel:
         save_checkpoint(SegmentationModel(MICRO_CONFIG), path)
         model = load_checkpoint(path).astype(np.float64)
         assert model_error(model, np.random.default_rng(0)) < MODEL_TOL
+
+    @pytest.mark.parametrize("source", ["built", "loaded"])
+    def test_a_dropped_model_is_freed_without_the_collector(self, tmp_path, source):
+        # no reference cycle runs through a model's arena, so dropping the
+        # last reference frees the model at once
+        image, _ = protocol_batch(4, n=1)
+        model = build_model(ModelConfig(seed=6, **PROTOCOL_MODEL))
+        with no_grad():
+            model(image)  # a training forward leaves running statistics
+        if source == "loaded":
+            save_checkpoint(model, tmp_path / "m.ckpt")
+            model = load_checkpoint(tmp_path / "m.ckpt")
+        gc.disable()
+        try:
+            model.arena
+            model.set_training(False)
+            with no_grad():
+                model(image)
+            ref = weakref.ref(model)
+            del model
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_paper_default_load_memory_bound(self, tmp_path):
         # the file, one copy of its payload and at most 1 MiB besides: the

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from gmsrfnet import tensor as T
-from gmsrfnet.blocks import BatchNorm2d
 from gmsrfnet.errors import NumericsError, ShapeError, StateError, UsageError
 from gmsrfnet.gradchecks import max_grad_error
 from gmsrfnet.network import ModelConfig, build_model
@@ -413,8 +412,7 @@ class TestActivations:
 class TestBatchNorm:
     def test_two_value_normalization(self):
         x = Tensor(np.array([1.0, 3.0], np.float32).reshape(2, 1, 1, 1))
-        gamma, beta = T.vector([1.0]), T.vector([0.0])
-        y = T.batch_norm(x, gamma, beta, BatchNorm2d(1), training=True)
+        y = T.batch_norm(x, reference.norm([1.0], [0.0]))
         expected = reference.batchnorm_loops(x.data, [1.0], [0.0])
         np.testing.assert_allclose(y.data, expected, rtol=1e-6)
         np.testing.assert_allclose(y.data.ravel(), [-0.99999, 0.99999], atol=1e-4)
@@ -425,41 +423,39 @@ class TestBatchNorm:
         raw -= raw.mean(axis=(0, 2, 3), keepdims=True)
         raw /= raw.std(axis=(0, 2, 3), keepdims=True)
         x = Tensor(raw)
-        y = T.batch_norm(x, T.vector([1, 1]), T.vector([0, 0]), BatchNorm2d(2), True)
+        y = T.batch_norm(x, reference.norm([1, 1], [0, 0]))
         np.testing.assert_allclose(y.data, raw, atol=1e-4)
 
     def test_beta_shift(self):
         x = Tensor(np.random.default_rng(6).normal(size=(2, 1, 3, 3)).astype(np.float32))
-        y = T.batch_norm(x, T.vector([0.0]), T.vector([5.0]), BatchNorm2d(1), True)
+        y = T.batch_norm(x, reference.norm([0.0], [5.0]))
         np.testing.assert_allclose(y.data, 5.0, rtol=1e-6)
 
     def test_eval_before_train_raises(self):
         x = Tensor(np.zeros((1, 1, 2, 2)))
         with pytest.raises(StateError):
-            T.batch_norm(x, T.vector([1.0]), T.vector([0.0]), BatchNorm2d(1), False)
+            T.batch_norm(x, reference.norm([1.0], [0.0], training=False))
 
     def test_eval_uses_running_stats(self):
         rng = np.random.default_rng(7)
-        state = BatchNorm2d(1)
-        gamma, beta = T.vector([1.0]), T.vector([0.0])
+        bn = reference.norm([1.0], [0.0])
         for _ in range(200):
             x = Tensor(rng.normal(2.0, 3.0, size=(8, 1, 4, 4)).astype(np.float32))
-            T.batch_norm(x, gamma, beta, state, True)
+            T.batch_norm(x, bn)
         probe = Tensor(np.full((1, 1, 1, 1), 2.0, np.float32))
-        y = T.batch_norm(probe, gamma, beta, state, False)
+        bn.training = False
+        y = T.batch_norm(probe, bn)
         assert abs(y.item()) < 0.2  # mean input maps near zero
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            T.batch_norm(Tensor(np.zeros((1, 2, 2, 2))), T.vector([1.0]), T.vector([0.0]),
-                         BatchNorm2d(2), True)
+            T.batch_norm(Tensor(np.zeros((1, 2, 2, 2))), reference.norm([1.0], [0.0]))
 
     def test_leaky_output_is_hand_norm_then_leaky_relu(self):
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(1.0, 2.0, size=(3, 2, 4, 5)).astype(np.float32))
         gamma, beta = [0.7, 1.3], [0.2, -0.4]
-        y = T.batch_norm(x, T.vector(gamma), T.vector(beta), BatchNorm2d(2), True,
-                         act="leaky_relu")
+        y = T.batch_norm(x, reference.norm(gamma, beta), act="leaky_relu")
         z = reference.batchnorm_loops(x.data, gamma, beta)
         assert (z < 0).any() and (z > 0).any()
         np.testing.assert_allclose(y.data, np.where(z > 0, z, 0.01 * z), rtol=1e-5, atol=1e-6)
@@ -470,20 +466,19 @@ class TestBatchNorm:
         rng = np.random.default_rng(10)
         raw = (1e4 + rng.normal(size=(8, 4, 16, 16))).astype(np.float32)
         gamma, beta = [1.0, 0.5, 2.0, 1.0], [0.0, 0.1, -0.2, 0.3]
-        y = T.batch_norm(Tensor(raw), T.vector(gamma), T.vector(beta), BatchNorm2d(4), True)
+        y = T.batch_norm(Tensor(raw), reference.norm(gamma, beta))
         oracle = reference.batchnorm_loops(raw.astype(np.float64), gamma, beta)
         assert np.abs(y.data - oracle).max() < 1e-2
 
     def test_single_value_per_channel_gives_act_beta_and_zero_gradient(self):
         # M = N*H*W = 1: the value is its own mean, so it normalizes to zero
         x = Tensor(np.array([3.0, -2.0], np.float32).reshape(1, 2, 1, 1), requires_grad=True)
-        beta = Tensor(np.array([0.5, -0.5], np.float32).reshape(1, 2, 1, 1), requires_grad=True)
-        state = BatchNorm2d(2)
-        y = T.batch_norm(x, T.vector([2.0, 3.0]), beta, state, True, act="leaky_relu")
+        state = reference.norm([2.0, 3.0], [0.5, -0.5])
+        y = T.batch_norm(x, state, act="leaky_relu")
         np.testing.assert_array_equal(y.data.ravel(), np.float32([0.5, -0.005]))
         backward(reference.sum_loss(y))
         np.testing.assert_array_equal(x.grad, 0)
-        np.testing.assert_array_equal(beta.grad.ravel(), np.float32([1.0, 0.01]))
+        np.testing.assert_array_equal(state.beta.grad.ravel(), np.float32([1.0, 0.01]))
         for buffer in (state.running_mean, state.running_var):
             assert np.all(np.isfinite(buffer))
         np.testing.assert_allclose(state.running_var.ravel(), 0.9)
@@ -492,7 +487,7 @@ class TestBatchNorm:
     def test_unsupported_activation_raises(self, act):
         x = Tensor(np.zeros((2, 1, 2, 2), np.float32))
         with pytest.raises(UsageError):
-            T.batch_norm(x, T.vector([1.0]), T.vector([0.0]), BatchNorm2d(1), True, act=act)
+            T.batch_norm(x, reference.norm([1.0], [0.0]), act=act)
 
     @pytest.mark.parametrize("shape,act", [
         ((1, 2, 3, 5), "linear"), ((3, 2, 4, 3), "linear"),
@@ -504,10 +499,11 @@ class TestBatchNorm:
         rng = np.random.default_rng(sum(shape))
         c = shape[1]
         x = Tensor(rng.normal(1.0, 2.0, shape), dtype=np.float64, requires_grad=True)
-        gamma = Tensor(rng.uniform(0.5, 1.5, (1, c, 1, 1)), dtype=np.float64, requires_grad=True)
-        beta = Tensor(rng.normal(0, 0.3, (1, c, 1, 1)), dtype=np.float64, requires_grad=True)
+        bn = reference.norm(rng.uniform(0.5, 1.5, (1, c, 1, 1)), rng.normal(0, 0.3, (1, c, 1, 1)),
+                            dtype=np.float64)
+        gamma, beta = bn.gamma, bn.beta
         w = rng.normal(size=shape)
-        y = T.batch_norm(x, gamma, beta, BatchNorm2d(c).astype(np.float64), True, act=act)
+        y = T.batch_norm(x, bn, act=act)
         slope = 1.0 if act == "linear" else 0.01
 
         def oracle(a, g, b):
@@ -537,15 +533,17 @@ class TestBatchNorm:
     def test_eval_float64_output_and_gradients_match_loop_oracle(self, shape, act):
         rng = np.random.default_rng(sum(shape) + 40)
         c = shape[1]
-        state = BatchNorm2d(c).astype(np.float64)
-        state.running_mean[...] = rng.normal(0.5, 1.0, (1, c, 1, 1))
-        state.running_var[...] = rng.uniform(0.3, 3.0, (1, c, 1, 1))
-        state.num_updates[...] = 4
+        mean = rng.normal(0.5, 1.0, (1, c, 1, 1))
+        var = rng.uniform(0.3, 3.0, (1, c, 1, 1))
         x = Tensor(rng.normal(1.0, 2.0, shape), dtype=np.float64, requires_grad=True)
-        gamma = Tensor(rng.uniform(0.5, 1.5, (1, c, 1, 1)), dtype=np.float64, requires_grad=True)
-        beta = Tensor(rng.normal(0, 0.3, (1, c, 1, 1)), dtype=np.float64, requires_grad=True)
+        state = reference.norm(rng.uniform(0.5, 1.5, (1, c, 1, 1)), rng.normal(0, 0.3, (1, c, 1, 1)),
+                               training=False, dtype=np.float64)
+        state.running_mean[...] = mean
+        state.running_var[...] = var
+        state.num_updates[...] = 4
+        gamma, beta = state.gamma, state.beta
         g = rng.normal(size=shape)
-        y = T.batch_norm(x, gamma, beta, state, False, act=act)
+        y = T.batch_norm(x, state, act=act)
         backward(reference.sum_loss(y, g))
         expected = reference.batchnorm_eval_loops(
             x.data, gamma.data.ravel(), beta.data.ravel(), state.running_mean.ravel(),
@@ -558,14 +556,13 @@ class TestBatchNorm:
         # round x * gamma / std (~4e5 here) to ~0.03
         rng = np.random.default_rng(12)
         c = 4
-        state = BatchNorm2d(c)
+        gamma, beta = [1.0, 0.5, 2.0, 1.5], [0.0, 0.1, -0.2, 0.3]
+        state = reference.norm(gamma, beta, training=False)
         state.running_mean[...] = 1e4 + rng.normal(0, 0.5, (1, c, 1, 1))
         state.running_var[...] = rng.uniform(2e-3, 4e-3, (1, c, 1, 1))
         state.num_updates[...] = 1
         raw = (1e4 + rng.normal(size=(2, c, 8, 8))).astype(np.float32)
-        gamma, beta = [1.0, 0.5, 2.0, 1.5], [0.0, 0.1, -0.2, 0.3]
-        y = T.batch_norm(Tensor(raw), T.vector(gamma), T.vector(beta), state, False,
-                         act="leaky_relu")
+        y = T.batch_norm(Tensor(raw), state, act="leaky_relu")
         oracle = reference.batchnorm_eval_loops(
             raw, gamma, beta, state.running_mean.ravel().astype(np.float64),
             state.running_var.ravel().astype(np.float64), np.ones(raw.shape), slope=0.01)[0]
@@ -792,17 +789,16 @@ class TestGradcheckHarness:
     def test_conv_bn_sigmoid_pipeline(self):
         rng = np.random.default_rng(17)
         w = Tensor(rng.normal(size=(2, 2, 3, 3)), dtype=np.float64, requires_grad=True)
-        gamma = Tensor(rng.uniform(0.5, 1.5, (1, 2, 1, 1)), dtype=np.float64, requires_grad=True)
-        beta = Tensor(rng.normal(size=(1, 2, 1, 1)), dtype=np.float64, requires_grad=True)
-        state = BatchNorm2d(2).astype(np.float64)
+        bn = reference.norm(rng.uniform(0.5, 1.5, (1, 2, 1, 1)), rng.normal(size=(1, 2, 1, 1)),
+                            dtype=np.float64)
         x = Tensor(rng.normal(size=(2, 2, 5, 5)), dtype=np.float64, requires_grad=True)
 
         def f():
             y = T.conv2d(x, w, padding=1)
-            y = T.batch_norm(y, gamma, beta, state, True)
+            y = T.batch_norm(y, bn)
             return T.reduce_mean(T.sigmoid(y))
 
-        assert max_grad_error(f, [x, w, gamma, beta]) < 1e-5
+        assert max_grad_error(f, [x, w, bn.gamma, bn.beta]) < 1e-5
 
     def test_relu_away_from_kink(self):
         rng = np.random.default_rng(18)
