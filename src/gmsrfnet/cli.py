@@ -8,7 +8,8 @@ import click
 
 from .data import CenterSpec, generate_center, load_folder, save_dataset, split_dataset
 from .gradchecks import run_suite
-from .train import TrainConfig, evaluate, generalization_report, predict, train
+from .network import load_checkpoint
+from .train import TrainConfig, check_output, evaluate, generalization_report, predict, train
 
 
 @click.group()
@@ -49,9 +50,7 @@ def train_cmd(config_path, data_dir, out_path, log_path):
     """Train on the train split of a dataset directory."""
     cfg = TrainConfig.from_json(config_path)
     dataset = load_folder(data_dir, cfg.model.input_size)
-    train_set = dataset.split("train")
-    val_set = dataset.subset("val")
-    result = train(cfg, train_set, val_set if len(val_set) else None, out_path, log_path)
+    result = train(cfg, dataset.split("train"), dataset.subset("val"), out_path, log_path)
     last = result.epoch_rows[-1]
     click.echo(f"final epoch {last['epoch']}: train_loss={last['train_loss']:.4f}"
                + (f" val_dsc={last['val_dsc']:.4f}" if "val_dsc" in last else ""))
@@ -67,8 +66,7 @@ def train_cmd(config_path, data_dir, out_path, log_path):
               help="Which manifest split to evaluate; 'all' for everything.")
 def eval_cmd(ckpt, data_dir, report_base, split):
     """Evaluate a checkpoint, writing per-image metrics and means."""
-    from .network import load_checkpoint
-
+    check_output("out_base", report_base + ".csv", report_base + ".json")
     model = load_checkpoint(ckpt)
     dataset = load_folder(data_dir, model.config.input_size)
     if split != "all":
@@ -97,8 +95,7 @@ def predict_cmd(ckpt, image_path, out_path):
 @click.option("--out", "out_base", type=click.Path(), required=True)
 def report_cmd(ckpt_a, ckpt_b, data_a, data_b, out_base):
     """Cross-center generalization table (2 models x source/unseen metrics)."""
-    from .network import load_checkpoint
-
+    check_output("out_base", out_base + ".csv", out_base + ".json")
     model_a = load_checkpoint(ckpt_a)
     model_b = load_checkpoint(ckpt_b)
     ds_a = load_folder(data_a, model_a.config.input_size)

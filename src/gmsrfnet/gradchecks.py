@@ -17,6 +17,7 @@ from .tensor import Tensor, backward, no_grad, reduce_mean
 
 OP_TOL = 1e-5
 MODEL_TOL = 1e-4
+H_SCALE = 1e-6  # finite-difference step relative to max(1, |x_j|)
 
 MICRO_CONFIG = ModelConfig(
     input_size=32,
@@ -40,13 +41,13 @@ class CheckResult:
         return self.max_error < self.tolerance
 
 
-def max_grad_error(f, inputs, h_scale=1e-6, max_coords=None, rng=None):
+def max_grad_error(f, inputs, max_coords=None, rng=None):
     """Worst relative error between backward gradients of scalar ``f()`` and
     central finite differences over the given input tensors.
 
     Coordinates are probed exhaustively unless max_coords caps them, in which
     case a deterministic random subset per tensor is used. Inputs must be
-    float64; the step per coordinate is h_scale * max(1, |x_j|) and the error
+    float64; the step per coordinate is H_SCALE * max(1, |x_j|) and the error
     is |analytic - numeric| / max(1, |numeric|).
     """
     for t in inputs:
@@ -77,7 +78,7 @@ def max_grad_error(f, inputs, h_scale=1e-6, max_coords=None, rng=None):
                 coords = range(flat.size)
             for j in coords:
                 orig = flat[j]
-                h = h_scale * max(1.0, abs(orig))
+                h = H_SCALE * max(1.0, abs(orig))
                 flat[j] = orig + h
                 f_plus = f().item()
                 flat[j] = orig - h

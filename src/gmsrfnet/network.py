@@ -3,7 +3,7 @@ reduction, stacked fusion modules, a transposed-conv decoder, and four
 deep-supervision heads. Also the binary checkpoint format."""
 from __future__ import annotations
 
-import itertools
+import hashlib
 import json
 import math
 import os
@@ -18,7 +18,7 @@ from .errors import Config, ConfigError, CorruptionError, FormatError, ShapeErro
 from .gmsrf import GmsrfModule
 from .tensor import concat_channels, resize_bilinear, sigmoid
 
-CHECKPOINT_MAGIC = b"GMSRF1"
+CHECKPOINT_MAGIC = b"GMSRF2"
 
 
 @dataclass
@@ -156,26 +156,25 @@ def build_model(config):
 
 # -- checkpoint persistence -----------------------------------------------------
 #
-# layout: magic "GMSRF1" | uint32 LE header length | header JSON
-#         | payload (raw little-endian float32 in index order: the arena's
+# layout: magic "GMSRF2" | uint32 LE header length | header JSON
+#         | payload (raw little-endian float32 in walk order: the arena's
 #           params block, then its buffers block)
 #         | uint32 LE CRC-32 of the payload
-# header: {"config": {...}, "tensors": dict(_index(names, shapes))}
+# header: {"config": {...}, "count": payload length in float32 values,
+#          "layout": _layout(names, shapes) of the arena walk}
 
 
-def _index(names, shapes):
-    """The header's tensor index as (name, entry) pairs: each tensor's shape
-    and the byte sum of the tensors before it, in payload order."""
-    offsets = itertools.accumulate((4 * math.prod(shape) for shape in shapes), initial=0)
-    return ((name, {"shape": list(shape), "offset": offset})
-            for name, shape, offset in zip(names, shapes, offsets))
+def _layout(names, shapes):
+    """The payload's layout as one digest: sha256 hex of the walk's tensor
+    names and shapes, in payload order."""
+    return hashlib.sha256(json.dumps([names, shapes]).encode()).hexdigest()
 
 
 def save_checkpoint(model, path):
     arena = model.arena
-    index = dict(_index(arena.names, arena.shapes))
     payload = b"".join(np.ascontiguousarray(a, "<f4").tobytes() for a in (arena.params, arena.buffers))
-    header = json.dumps({"config": model.config.to_dict(), "tensors": index}).encode()
+    header = json.dumps({"config": model.config.to_dict(), "count": len(payload) // 4,
+                         "layout": _layout(arena.names, arena.shapes)}).encode()
 
     blob = b"".join([
         CHECKPOINT_MAGIC,
@@ -215,26 +214,17 @@ class _NoDraws:
         return self.values[:count].reshape(size)
 
 
-_INDEX_MISMATCH = "checkpoint tensor index does not match the config's tensors"
-
-
-def _described_values(index):
-    """Values a header's tensor index describes; 0 if it is not an index."""
-    shapes = [e.get("shape") if isinstance(e, dict) else None
-              for e in (index.values() if isinstance(index, dict) else ())]
-    if all(isinstance(s, list) and all(type(d) is int for d in s) for s in shapes):
-        return sum(math.prod(s) for s in shapes)
-    return 0
+_LAYOUT_MISMATCH = "checkpoint layout does not match the config's tensors"
 
 
 def load_checkpoint(path):
-    """Rebuild a model from a checkpoint file. The header's tensor index must
-    equal the index of the stored config's model, and the payload must be
-    that long and match its CRC, all before the model's arena is allocated:
-    header values are only compared, never used to size or slice, and a
-    config larger than the payload fails before its model is. The layer
-    tree is built on views of the payload, and the arena's params and
-    buffers are one copy each of the payload's two blocks."""
+    """Rebuild a model from a checkpoint file. The header's layout digest and
+    value count must equal those of the stored config's model, and the
+    payload must be that long and match its CRC, all before the model's
+    arena is allocated: header values are only compared, never used to size
+    or slice, and a config larger than the payload fails before its model
+    is. The layer tree is built on views of the payload, and the arena's
+    params and buffers are one copy each of the payload's two blocks."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -249,34 +239,32 @@ def load_checkpoint(path):
     try:
         header = json.loads(blob[pos : pos + header_len].decode())
         config = ModelConfig.from_dict(header["config"])
-        index = header["tensors"]
+        count, layout = header["count"], header["layout"]
     except (ValueError, RecursionError, KeyError, TypeError, ConfigError) as e:
         raise FormatError(f"unreadable checkpoint header: {e}") from e
     payload = memoryview(blob)[pos + header_len : -4]
     values = np.frombuffer(payload, "<f4", count=len(payload) // 4)
 
     def check(names, shapes):
-        # entry by entry, equal by JSON value: 1.0 loads for 1, an extra key fails
-        if not (isinstance(index, dict) and len(index) == len(names) and all(
-                index.get(name) == entry for name, entry in _index(names, shapes))):
-            raise FormatError(_INDEX_MISMATCH)
-        extra = len(payload) - 4 * sum(math.prod(shape) for shape in shapes)
+        size = sum(math.prod(shape) for shape in shapes)
+        if type(count) is not int or count != size or layout != _layout(names, shapes):
+            raise FormatError(_LAYOUT_MISMATCH)
+        extra = len(payload) - 4 * size
         if extra < 0:
             raise CorruptionError("checkpoint truncated in payload")
         if extra > 0:
             raise CorruptionError(f"{extra} trailing bytes after the checkpoint CRC")
         if zlib.crc32(payload) != int.from_bytes(blob[-4:], "little"):
             raise CorruptionError("checkpoint payload CRC mismatch")
-        index.clear()  # the parsed index is freed before the arena is allocated
         return values
 
     # the tree draws no more values than the payload holds; the arena, which
     # copies the payload, is only allocated once check passes
     try:
         model = SegmentationModel(config, rng=_NoDraws(values))
-    except CorruptionError:  # truncated only if its own index says so
-        if _described_values(index) > values.size:
+    except CorruptionError:  # truncated only if its own count says so
+        if type(count) is int and count > values.size:
             raise
-        raise FormatError(_INDEX_MISMATCH) from None
+        raise FormatError(_LAYOUT_MISMATCH) from None
     model._arena = Arena(model, check)
     return model

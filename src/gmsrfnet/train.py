@@ -73,7 +73,7 @@ def _check_samples(dataset, size):
                 raise FormatError(f"sample {s.id}: {what} holds non-finite values")
 
 
-def _check_output(what, *paths):
+def check_output(what, *paths):
     """Raise UsageError if a file in ``paths`` could not be written: it is a
     directory, or its directory does not exist."""
     for path in paths:
@@ -117,7 +117,7 @@ def train(cfg, train_set, val_set=None, out_path=None, log_path=None):
     """
     for what, path in (("out_path", out_path), ("log_path", log_path)):
         if path:
-            _check_output(what, path)
+            check_output(what, path)
     if len(train_set) == 0:
         raise ConfigError("training set is empty")
     for dataset in (train_set, val_set or ()):
@@ -209,7 +209,7 @@ def evaluate(checkpoint, dataset, out_base=None, label=""):
     write <out_base>.csv and <out_base>.json. An output that could not be
     written raises UsageError before the checkpoint is loaded."""
     if out_base:
-        _check_output("out_base", out_base + ".csv", out_base + ".json")
+        check_output("out_base", out_base + ".csv", out_base + ".json")
     model = load_checkpoint(checkpoint) if isinstance(checkpoint, (str, os.PathLike)) else checkpoint
     _check_samples(dataset, model.config.input_size)
     report = evaluate_model(model, dataset, label or dataset.center_id)
@@ -223,7 +223,7 @@ def predict(checkpoint_path, image_path, out_mask_path):
     """Segment one PPM image; writes a {0, 255} P5 mask at the input's own
     resolution. An out_mask_path that could not be written raises
     UsageError before the checkpoint is loaded."""
-    _check_output("out_mask_path", out_mask_path)
+    check_output("out_mask_path", out_mask_path)
     model = load_checkpoint(checkpoint_path)
     size = model.config.input_size
     image = read_pnm(image_path)
@@ -249,7 +249,7 @@ def generalization_report(model_a, model_b, data_a, data_b, out_base=None):
     with the source-minus-unseen DSC gap. An output that could not be
     written raises UsageError before any evaluation."""
     if out_base:
-        _check_output("out_base", out_base + ".csv", out_base + ".json")
+        check_output("out_base", out_base + ".csv", out_base + ".json")
     rows = []
     for name, model, source, unseen in (
         ("model-a", model_a, data_a.split("test"), data_b),

@@ -193,6 +193,22 @@ class TestTrainEvalPredict:
         assert isinstance(result.exception, UsageError), result.exception
         assert sorted(base.rglob("*")) == before
 
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    def test_output_checked_before_the_checkpoint_is_read(self, runner, tmp_path, command):
+        # a bad-magic checkpoint would raise FormatError if it were loaded first
+        ckpt, data_dir = tmp_path / "m.ckpt", tmp_path / "data"
+        ckpt.write_bytes(b"XXXXXX")
+        data_dir.mkdir()
+        out = str(tmp_path / "nodir" / "out")
+        args = {
+            "eval": ["--ckpt", str(ckpt), "--data", str(data_dir), "--report", out],
+            "report": ["--ckpt-a", str(ckpt), "--ckpt-b", str(ckpt), "--data-a", str(data_dir),
+                       "--data-b", str(data_dir), "--out", out],
+        }[command]
+        result = runner.invoke(main, [command] + args)
+        assert isinstance(result.exception, UsageError), result.exception
+        assert sorted(tmp_path.rglob("*")) == [data_dir, ckpt]
+
     def test_unknown_eval_split_is_a_usage_error(self, runner, tmp_path):
         # a misspelt split once evaluated every sample, train split included
         ckpt, data_dir = tmp_path / "m.ckpt", tmp_path / "data"

@@ -3,6 +3,7 @@ headers give a value or a GmsrfError subclass, never a bare Python or numpy
 exception."""
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -33,13 +34,13 @@ from gmsrfnet.network import (
     SegmentationModel,
     build_model,
     load_checkpoint,
-    _index,
+    _layout,
     _NoDraws,
     save_checkpoint,
 )
 from gmsrfnet.train import TrainConfig
 
-from test_network import MICRO, replace_header
+from test_network import MICRO, edit_header, replace_header
 
 SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
            | st.integers(-2**70, 2**70) | st.text(max_size=6))
@@ -194,7 +195,8 @@ def micro_checkpoint():
 CHECKPOINT_HEADERS = (
     st.binary(max_size=200)
     | JSON.map(lambda d: json.dumps(d).encode())
-    | st.fixed_dictionaries({"config": JSON | field_dicts(ModelConfig), "tensors": JSON})
+    | st.fixed_dictionaries({"config": JSON | field_dicts(ModelConfig), "count": JSON,
+                             "layout": JSON})
     .map(lambda d: json.dumps(d).encode())
     | st.integers(1, 10**5).map(lambda k: b"[" * k + b"]" * k)
 )
@@ -203,26 +205,27 @@ CHECKPOINT_HEADERS = (
 BIG = ModelConfig(encoder_widths=(512,) * 4, rfb_channels=512)
 
 
-def write_checkpoint(path, config, index, payload):
-    header = json.dumps({"config": config, "tensors": index}).encode()
+def write_checkpoint(path, config, count, layout, payload):
+    header = json.dumps({"config": config, "count": count, "layout": layout}).encode()
     path.write_bytes(CHECKPOINT_MAGIC + len(header).to_bytes(4, "little") + header + payload
                      + zlib.crc32(payload).to_bytes(4, "little"))
     return path
 
 
-def index_of(config):
-    """The tensor index of a ``config`` checkpoint, read off the layer walk
-    of a model whose init draws are views of one zero buffer. Its pages are
-    never written, so they are never backed either; BIG's ~61M values fit."""
+def header_of(config):
+    """The value count and layout of a ``config`` checkpoint, read off the
+    layer walk of a model whose init draws are views of one zero buffer. Its
+    pages are never written, so they are never backed either; BIG's ~61M
+    values fit."""
     class Walked(Exception):
         pass
 
     def stop(names, shapes):
-        raise Walked(dict(_index(names, shapes)))
+        raise Walked(sum(math.prod(shape) for shape in shapes), _layout(names, shapes))
 
     with pytest.raises(Walked) as walked:
         Arena(SegmentationModel(config, rng=_NoDraws(np.zeros(2**26, np.float32))), stop)
-    return walked.value.args[0]
+    return walked.value.args
 
 
 def peak_rss_mb_of_failed_load(path, error):
@@ -259,21 +262,22 @@ class TestCheckpointHeader:
 
     def test_oversized_config_refused_before_allocation(self, tmp_path):
         # a valid one-tensor file whose config asks for ~61M float32 values
-        path = write_checkpoint(tmp_path / "big.ckpt", BIG.to_dict(),
-                                {"w": {"shape": [1], "offset": 0}}, bytes(4))
+        path = write_checkpoint(tmp_path / "big.ckpt", BIG.to_dict(), 1, _layout(["w"], [(1,)]),
+                                bytes(4))
         assert peak_rss_mb_of_failed_load(path, "FormatError") < 200
 
-    @pytest.mark.parametrize("index, error", [({}, FormatError),
-                                              ({"w": {"shape": [10**9], "offset": 0}},
-                                               CorruptionError)])
+    @pytest.mark.parametrize("count, error", [(lambda n: 0, FormatError),
+                                              (lambda n: n, FormatError),
+                                              (lambda n: 10**9, CorruptionError)])
     def test_config_outgrowing_the_payload_refused_before_its_model(self, micro_checkpoint,
-                                                                    tmp_path, index, error):
+                                                                    tmp_path, count, error):
         # MICRO's payload with a config whose weights take ~0.2 GB: its
-        # zero placeholders are never allocated, whatever the index says
+        # zero placeholders are never allocated, whatever the count says.
+        # Truncated only if the count is larger than the payload
         config = dict(MICRO.to_dict(), growth=64, layers_per_module=16)
-        header = json.dumps({"config": config, "tensors": index}).encode()
         path = tmp_path / "m.ckpt"
-        path.write_bytes(replace_header(header)(micro_checkpoint))
+        path.write_bytes(edit_header(lambda h: h.update(config=config, count=count(h["count"])))(
+            micro_checkpoint))
         tracemalloc.start()
         try:
             with pytest.raises(error):
@@ -284,8 +288,8 @@ class TestCheckpointHeader:
         assert peak < len(micro_checkpoint) + 2**20
 
     def test_short_payload_refused_before_allocation(self, tmp_path):
-        # the index is the one a ~61M-value model writes; the payload holds 4 bytes
-        path = write_checkpoint(tmp_path / "big.ckpt", BIG.to_dict(), index_of(BIG), bytes(4))
+        # the count and layout are those a ~61M-value model writes; the payload holds 4 bytes
+        path = write_checkpoint(tmp_path / "big.ckpt", BIG.to_dict(), *header_of(BIG), bytes(4))
         assert peak_rss_mb_of_failed_load(path, "CorruptionError") < 200
 
 

@@ -21,6 +21,7 @@ from gmsrfnet.network import (
     ModelConfig,
     SegmentationModel,
     SupervisionHeads,
+    _layout,
     build_model,
     load_checkpoint,
     save_checkpoint,
@@ -360,39 +361,33 @@ def edit_header(edit):
     return apply
 
 
-def entry(header, i):
-    return list(header["tensors"].values())[i]
+def micro_walk():
+    """Names and shapes of MICRO's arena walk, as lists."""
+    arena = build_model(MICRO).arena
+    return list(arena.names), list(arena.shapes)
 
 
 def swap_first_two(header):
-    """Index listing the first two tensors in swapped order, offsets
-    recomputed as the running sum of that order."""
-    items = list(header["tensors"].items())
-    items[0], items[1] = items[1], items[0]
-    offset = 0
-    for _, e in items:
-        e["offset"] = offset
-        offset += 4 * math.prod(e["shape"])
-    header["tensors"] = dict(items)
+    """Layout of the walk with its first two tensors in swapped order."""
+    names, shapes = micro_walk()
+    names[:2], shapes[:2] = names[1::-1], shapes[1::-1]
+    header["layout"] = _layout(names, shapes)
 
 
 def add_stale_conv_bias(blob):
     """A file as a model with a bias in front of the stem's batch norm would
-    write it: an ``encoder.stem.bias`` entry after the stem weight, its
-    bytes in the payload, offsets and CRC recomputed."""
+    write it: an ``encoder.stem.bias`` after the stem weight in its layout
+    and count, its bytes in the payload, and the CRC recomputed."""
     header_len = int.from_bytes(blob[6:10], "little")
     header = json.loads(blob[10 : 10 + header_len].decode())
     payload = blob[10 + header_len : -4]
-    items = list(header["tensors"].items())
-    at = [name for name, _ in items].index("encoder.stem.weight") + 1
-    cout = items[at - 1][1]["shape"][0]
-    cut = items[at][1]["offset"]
-    items.insert(at, ("encoder.stem.bias", {"shape": [1, cout, 1, 1]}))
-    offset = 0
-    for _, e in items:
-        e["offset"] = offset
-        offset += 4 * math.prod(e["shape"])
-    header["tensors"] = dict(items)
+    names, shapes = micro_walk()
+    at = names.index("encoder.stem.weight") + 1
+    cout = shapes[at - 1][0]
+    cut = 4 * sum(math.prod(shape) for shape in shapes[:at])
+    names.insert(at, "encoder.stem.bias")
+    shapes.insert(at, (1, cout, 1, 1))
+    header.update(count=header["count"] + cout, layout=_layout(names, shapes))
     payload = payload[:cut] + bytes(4 * cout) + payload[cut:]
     new_header = json.dumps(header).encode()
     return (CHECKPOINT_MAGIC + len(new_header).to_bytes(4, "little") + new_header + payload
@@ -400,16 +395,15 @@ def add_stale_conv_bias(blob):
 
 
 MALFORMED_CHECKPOINTS = [
-    pytest.param(edit_header(lambda h: entry(h, -1).update(offset=10**9)), FormatError,
-                 id="offset-out-of-range"),
-    pytest.param(edit_header(lambda h: entry(h, 1).pop("offset")), FormatError,
-                 id="offset-missing"),
-    pytest.param(edit_header(lambda h: h.update(tensors=[])), FormatError,
-                 id="tensors-not-an-object"),
-    pytest.param(edit_header(lambda h: entry(h, 0).update(shape="4")), FormatError,
-                 id="shape-is-a-string"),
-    pytest.param(edit_header(lambda h: entry(h, 1).update(offset=entry(h, 1)["offset"] + 4)),
-                 FormatError, id="offset-shifted-by-4"),
+    pytest.param(edit_header(lambda h: h.pop("layout")), FormatError, id="layout-missing"),
+    pytest.param(edit_header(lambda h: h.update(layout=[h["layout"]])), FormatError,
+                 id="layout-not-a-string"),
+    pytest.param(edit_header(lambda h: h.pop("count")), FormatError, id="count-missing"),
+    pytest.param(edit_header(lambda h: h.update(count=h["count"] + 1)), FormatError,
+                 id="count-off-by-one"),
+    pytest.param(edit_header(lambda h: h.update(count=True)), FormatError, id="count-true"),
+    pytest.param(edit_header(lambda h: h.update(count=float(h["count"]))), FormatError,
+                 id="count-a-float"),
     pytest.param(lambda blob: blob + b"\0\0\0\0", CorruptionError, id="trailing-bytes"),
     pytest.param(edit_header(lambda h: h["config"].update(input_size=48)), FormatError,
                  id="config-invalid"),
@@ -419,8 +413,6 @@ MALFORMED_CHECKPOINTS = [
     pytest.param(add_stale_conv_bias, FormatError, id="stale-conv-bias"),
     pytest.param(replace_header(b"[" * 100_000 + b"]" * 100_000), FormatError,
                  id="deeply-nested-header"),
-    pytest.param(edit_header(lambda h: entry(h, 0).update(dtype="<f4")), FormatError,
-                 id="entry-extra-key"),
 ]
 
 
@@ -441,12 +433,17 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_format_pinned_by_digest(self, tmp_path):
-        # a change to the GMSRF1 layout, the registry order or the init
-        # draws moves this digest
+        # a change to the registry order or the init draws moves the payload
+        # digest (the same as under GMSRF1); a change to the header moves
+        # the file's
         path = tmp_path / "m.ckpt"
         save_checkpoint(build_model(ModelConfig(seed=8, **PROTOCOL_MODEL)), path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "b9dce83199a4d4133a842326fc3ee0f5f8d26f47ded7a3138819543239a24502")
+        blob = path.read_bytes()
+        header_len = int.from_bytes(blob[6:10], "little")
+        assert hashlib.sha256(blob[10 + header_len :]).hexdigest() == (
+            "85e104671f738cade21b0f8074255828b253107c8983981e734648da261e3432")
+        assert hashlib.sha256(blob).hexdigest() == (
+            "37a5effc8661ceb6b755a0410c10597d5e9c7da59ad635a2ec564dabfdf4dc96")
 
     def test_roundtrip_restores_parameters_bitwise(self, tmp_path):
         model = build_model(MICRO)
@@ -487,19 +484,22 @@ class TestCheckpoint:
         with pytest.raises(CorruptionError):
             load_checkpoint(path)
 
-    def test_shape_disagreement_rejected(self, tmp_path):
+    def test_gmsrf1_file_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(build_model(MICRO), path)
-        blob = path.read_bytes()
-        header_len = int.from_bytes(blob[6:10], "little")
-        header = json.loads(blob[10 : 10 + header_len].decode())
-        name = next(iter(header["tensors"]))
-        header["tensors"][name]["shape"][0] += 1
-        rest = blob[10 + header_len :]
-        new_header = json.dumps(header).encode()
-        path.write_bytes(CHECKPOINT_MAGIC + len(new_header).to_bytes(4, "little")
-                         + new_header + rest)
-        with pytest.raises((FormatError, CorruptionError)):
+        path.write_bytes(b"GMSRF1" + path.read_bytes()[6:])
+        with pytest.raises(FormatError, match="magic"):
+            load_checkpoint(path)
+
+    def test_shape_disagreement_rejected(self, tmp_path):
+        # the layout of a walk whose first tensor has one more output channel
+        names, shapes = micro_walk()
+        shapes[0] = (shapes[0][0] + 1,) + shapes[0][1:]
+        layout = _layout(names, shapes)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(MICRO), path)
+        path.write_bytes(edit_header(lambda h: h.update(layout=layout))(path.read_bytes()))
+        with pytest.raises(FormatError):
             load_checkpoint(path)
 
     def test_crc_present_and_correct(self, tmp_path):
@@ -509,20 +509,6 @@ class TestCheckpoint:
         header_len = int.from_bytes(blob[6:10], "little")
         payload = blob[10 + header_len : -4]
         assert int.from_bytes(blob[-4:], "little") == zlib.crc32(payload) & 0xFFFFFFFF
-
-    def test_equal_valued_index_loads(self, tmp_path):
-        # the index is compared by value with the one the config implies
-        def edit(h):
-            entry(h, 0).update(offset=0.0)
-            entry(h, -1).update(shape=[True, 1.0, 1, 1])  # a num_updates buffer
-
-        path = tmp_path / "m.ckpt"
-        model = build_model(MICRO)
-        save_checkpoint(model, path)
-        path.write_bytes(edit_header(edit)(path.read_bytes()))
-        loaded = load_checkpoint(path)
-        assert np.array_equal(loaded.arena.params, model.arena.params)
-        assert np.array_equal(loaded.arena.buffers, model.arena.buffers)
 
     @pytest.mark.parametrize("corrupt,error", MALFORMED_CHECKPOINTS)
     def test_malformed_layout_rejected(self, tmp_path, corrupt, error):

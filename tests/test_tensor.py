@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmsrfnet import tensor as T
+from gmsrfnet import gradchecks, tensor as T
 from gmsrfnet.errors import NumericsError, ShapeError, StateError, UsageError
 from gmsrfnet.gradchecks import max_grad_error
 from gmsrfnet.network import ModelConfig, build_model
@@ -778,12 +778,13 @@ class TestDeterminism:
 
 
 class TestGradcheckHarness:
-    def test_affine_function_near_exact(self):
+    def test_affine_function_near_exact(self, monkeypatch):
         # central differences are exact for affine maps at any step size, so a
         # larger step leaves only negligible float64 roundoff
+        monkeypatch.setattr(gradchecks, "H_SCALE", 1e-3)
         x = Tensor(np.random.default_rng(16).normal(size=(1, 2, 3, 3)), requires_grad=True,
                    dtype=np.float64)
-        err = max_grad_error(lambda: reference.sum_loss(T.scale_shift(x, 3.0, 1.0)), [x], h_scale=1e-3)
+        err = max_grad_error(lambda: reference.sum_loss(T.scale_shift(x, 3.0, 1.0)), [x])
         assert err < 1e-10
 
     def test_conv_bn_sigmoid_pipeline(self):
