@@ -49,6 +49,9 @@ def generate_data_cmd(spec_path, n, out_dir, size, split_ratios, split_seed):
 def train_cmd(config_path, data_dir, out_path, log_path):
     """Train on the train split of a dataset directory."""
     cfg = TrainConfig.from_json(config_path)
+    check_output("out_path", out_path)
+    if log_path:
+        check_output("log_path", log_path)
     dataset = load_folder(data_dir, cfg.model.input_size)
     result = train(cfg, dataset.split("train"), dataset.subset("val"), out_path, log_path)
     last = result.epoch_rows[-1]

@@ -91,9 +91,6 @@ class Dataset:
     def __len__(self):
         return len(self.samples)
 
-    def __getitem__(self, i):
-        return self.samples[i]
-
     def __iter__(self):
         return iter(self.samples)
 

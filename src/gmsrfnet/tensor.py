@@ -83,10 +83,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         if self.data.size != 1:
             raise ShapeError(f"item() on non-scalar tensor of shape {self.shape}")

@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +43,8 @@ class TrainConfig(Config):
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        if self.threads != 1:
+            raise ConfigError(f"threads must be 1, got {self.threads!r}")
         if self.max_steps is not None and (type(self.max_steps) is not int or self.max_steps < 1):
             raise ConfigError(f"max_steps must be a positive int or null, got {self.max_steps!r}")
         if not isinstance(self.model, ModelConfig):
@@ -89,20 +88,6 @@ def _stack_batch(samples):
     return Tensor(images), masks
 
 
-def _prepare_samples(samples, indices, cfg, epoch):
-    def prep(i):
-        s = samples[int(i)]
-        if not cfg.augment:
-            return s
-        return augment(s, np.random.default_rng([cfg.seed, epoch, int(i)]))
-
-    if cfg.threads > 1:
-        # per-sample seeding keeps results identical to sequential execution
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(prep, indices))
-    return [prep(i) for i in indices]
-
-
 def train(cfg, train_set, val_set=None, out_path=None, log_path=None):
     """Run the training loop; returns the model, per-epoch log rows, and the
     raw per-step loss trace.
@@ -140,7 +125,10 @@ def train(cfg, train_set, val_set=None, out_path=None, log_path=None):
             model.set_training(True)
             for start in range(0, n, cfg.batch_size):
                 batch_idx = order[start : start + cfg.batch_size]
-                batch = _prepare_samples(train_set.samples, batch_idx, cfg, epoch)
+                batch = [train_set.samples[i] for i in batch_idx]
+                if cfg.augment:
+                    batch = [augment(s, np.random.default_rng([cfg.seed, epoch, int(i)]))
+                             for s, i in zip(batch, batch_idx)]
                 images, masks = _stack_batch(batch)
                 maps = model(images)
                 loss = total_loss(maps, masks)

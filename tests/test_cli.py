@@ -111,7 +111,7 @@ class TestTrainEvalPredict:
         assert result.exit_code == 0, result.output
         assert (base / "report.csv").exists() and (base / "report.json").exists()
 
-        sample = generate_center(default_center_a(seed=33), 1, 40)[0]
+        sample = generate_center(default_center_a(seed=33), 1, 40).samples[0]
         img = base / "probe.ppm"
         write_pnm(sample.image, str(img))
         result = runner.invoke(main, [
@@ -138,9 +138,9 @@ class TestTrainEvalPredict:
         rows = json.loads((base / "gen.json").read_text())["rows"]
         assert len(rows) == 2
 
-    @pytest.mark.parametrize("threads", [-3, 0])
-    def test_threads_option_below_one_is_a_config_error(self, workspace, runner, threads):
-        # the config file's "threads" key is the one way to set the worker count
+    @pytest.mark.parametrize("threads", [-3, 0, 2])
+    def test_threads_option_other_than_one_is_a_config_error(self, workspace, runner, threads):
+        # augmentation runs on the caller's thread, so the key only accepts 1
         base, data_dir, cfg_path = workspace
         cfg = json.loads(cfg_path.read_text())
         cfg_path.write_text(json.dumps(dict(cfg, threads=threads)))
@@ -160,16 +160,23 @@ class TestTrainEvalPredict:
     ])
     def test_unwritable_output_is_a_usage_error_before_training(self, workspace, runner,
                                                                  out, log):
+        # the outputs are checked before the folder is read, so a manifest
+        # that is not JSON does not hide the UsageError
         base, data_dir, cfg_path = workspace
         (base / "outdir").mkdir()
+        broken = base / "broken"
+        for sub in ("images", "masks"):
+            (broken / sub).mkdir(parents=True)
+        (broken / "dataset.json").write_text("[")
         before = sorted(base.rglob("*"))
-        args = ["train", "--config", str(cfg_path), "--data", str(data_dir),
-                "--out", str(base / out)]
-        if log:
-            args += ["--log", str(base / log)]
-        result = runner.invoke(main, args)
-        assert isinstance(result.exception, UsageError), result.exception
-        assert sorted(base.rglob("*")) == before
+        for folder in (data_dir, broken):
+            args = ["train", "--config", str(cfg_path), "--data", str(folder),
+                    "--out", str(base / out)]
+            if log:
+                args += ["--log", str(base / log)]
+            result = runner.invoke(main, args)
+            assert isinstance(result.exception, UsageError), (folder, result.exception)
+            assert sorted(base.rglob("*")) == before
 
     @pytest.mark.parametrize("command", ["eval", "report", "predict"])
     def test_missing_output_directory_is_a_usage_error_before_the_work(self, workspace, runner,
@@ -180,7 +187,7 @@ class TestTrainEvalPredict:
             "train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(ckpt),
         ])
         assert result.exit_code == 0, result.output
-        write_pnm(generate_center(default_center_a(seed=33), 1, 32)[0].image, str(img))
+        write_pnm(generate_center(default_center_a(seed=33), 1, 32).samples[0].image, str(img))
         before = sorted(base.rglob("*"))
         out = str(base / "nodir" / "out")
         args = {

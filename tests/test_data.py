@@ -1,6 +1,7 @@
 """Synthetic generation, splits, PNM round trips, augmentation, folder I/O."""
 import dataclasses
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,8 +43,8 @@ class TestGeneration:
         spec = default_center_b()
         ds = generate_center(spec, 10, 32)
         img5, mask5 = render_sample(spec, 32, 5)
-        assert np.array_equal(ds[5].image, img5)
-        assert np.array_equal(ds[5].mask, mask5)
+        assert np.array_equal(ds.samples[5].image, img5)
+        assert np.array_equal(ds.samples[5].mask, mask5)
 
     @pytest.mark.parametrize("maker", [default_center_a, default_center_b])
     def test_foreground_fraction_bounds_1000(self, maker):
@@ -80,6 +81,12 @@ class TestGeneration:
     def test_spec_json_roundtrip(self):
         spec = default_center_b()
         assert CenterSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize("name, make", [("a", default_center_a), ("b", default_center_b)])
+    def test_example_spec_files_match_the_defaults(self, name, make):
+        # the CLI reaches the paper's two centers only through these files
+        path = Path(__file__).resolve().parents[1] / "examples" / f"center-{name}.json"
+        assert CenterSpec.from_json(path) == make()
 
 
 class TestSplit:
@@ -319,7 +326,7 @@ class TestFolderIo:
     def test_unpaired_image_named_in_error(self, tmp_path):
         ds = generate_center(default_center_a(), 3, 32)
         save_dataset(ds, tmp_path)
-        victim = ds[1].id
+        victim = ds.samples[1].id
         (tmp_path / "masks" / f"{victim}.pgm").unlink()
         with pytest.raises(DataError, match=victim):
             load_folder(tmp_path, input_size=32)
@@ -352,9 +359,9 @@ class TestFolderIo:
         ds = generate_center(default_center_a(), 3, 32)
         save_dataset(ds, tmp_path)
         suffix = ".ppm" if folder == "images" else ".pgm"
-        victim = tmp_path / folder / f"{ds[1].id}{suffix}"
-        write_pnm(wrong_kind(ds[1]), victim)
-        with pytest.raises(FormatError, match=f"{ds[1].id}{suffix}.*{kind}"):
+        victim = tmp_path / folder / f"{ds.samples[1].id}{suffix}"
+        write_pnm(wrong_kind(ds.samples[1]), victim)
+        with pytest.raises(FormatError, match=f"{ds.samples[1].id}{suffix}.*{kind}"):
             load_folder(tmp_path, input_size=32)
 
     def test_missing_layout_rejected(self, tmp_path):

@@ -101,7 +101,7 @@ class TestConfigs:
     @pytest.mark.parametrize("d", [
         {"bogus": 1}, {"lr": "x"}, {"batch_size": None}, [], {"model": "x"},
         {"max_steps": 0}, {"lr": float("nan")}, {"epochs": 2.0}, {"augment": 1},
-        {"threads": 0}, {"threads": -3}, {"beta1": 0.9}, {"eps": 1e-8},
+        {"threads": 0}, {"threads": -3}, {"beta1": 0.9}, {"eps": 1e-8}, {"threads": 2},
     ])
     def test_measured_train_config_cases(self, d):
         with pytest.raises(ConfigError):

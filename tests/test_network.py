@@ -196,7 +196,7 @@ class TestRegistry:
         model = build_model(cfg)
         names = model.arena.names[: len(model.arena.tensors)]
         assert len(names) == len(set(names))
-        total = sum(p.size for p in model.arena.tensors)
+        total = sum(p.data.size for p in model.arena.tensors)
         assert total == expected_param_count(cfg)
 
     def test_every_parameter_requires_grad(self):

@@ -39,7 +39,7 @@ class TestTensorType:
 
     def test_data_length_matches_shape(self):
         x = Tensor(np.zeros((2, 3, 4, 5)))
-        assert x.size == 2 * 3 * 4 * 5
+        assert x.data.size == 2 * 3 * 4 * 5
 
     def test_vector_helper(self):
         v = T.vector([1.0, 2.0, 3.0])
@@ -227,7 +227,7 @@ class TestShiftKernel:
         rng = np.random.default_rng(21)
         x = Tensor(rng.normal(size=(8, 16, 32, 32)).astype(np.float32))
         w = Tensor(rng.normal(size=(8, 16, 3, 3)).astype(np.float32), requires_grad=True)
-        padded = x.size // (32 * 32) * 34 * 34 * x.data.itemsize
+        padded = x.data.size // (32 * 32) * 34 * 34 * x.data.itemsize
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
