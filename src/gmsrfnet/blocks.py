@@ -37,6 +37,11 @@ def he_weight(rng, shape, fan_in, act="leaky_relu"):
     return Tensor(rng.normal(0.0, std, shape).astype(DEFAULT_DTYPE, copy=False), requires_grad=True)
 
 
+# attribute types that hold no parameter and no layer: most of a layer's
+# attributes are these, and a set lookup skips them faster than isinstance
+_LEAVES = frozenset({bool, int, float, str, type(None), np.ndarray})
+
+
 class Arena:
     """A layer tree's state in flat arrays, built by one walk of its registry.
 
@@ -90,11 +95,12 @@ class Arena:
             value._arena = False
         children = []
         for name, attr in vars(value).items():
-            if isinstance(attr, Tensor):
+            kind = type(attr)
+            if kind is Tensor:
                 if attr.requires_grad:
                     self.names.append(prefix + name)
                     self.tensors.append(attr)
-            elif isinstance(attr, (Layer, list, tuple)):
+            elif kind not in _LEAVES and isinstance(attr, (Layer, list, tuple)):
                 children.append((prefix + name + ".", attr))
         for name in value._buffers:
             self.slots.append((prefix + name, value, name))
@@ -173,6 +179,9 @@ class Layer:
         return self.forward(*args, **kwargs)
 
 
+_NORM_INIT = np.array([1.0, 0.0, 0.0, 1.0], DEFAULT_DTYPE)  # gamma, beta, mean, variance
+
+
 class BatchNorm2d(Layer):
     """A normalization's gamma and beta, its running statistics and its
     train/eval mode, the one mode flag in a layer tree; ``tensor.batch_norm``
@@ -183,10 +192,11 @@ class BatchNorm2d(Layer):
     def __init__(self, channels):
         super().__init__()
         self.training = True
-        self.gamma = vector(np.ones(channels), requires_grad=True)
-        self.beta = vector(np.zeros(channels), requires_grad=True)
-        self.running_mean = np.zeros((1, channels, 1, 1), DEFAULT_DTYPE)
-        self.running_var = np.ones((1, channels, 1, 1), DEFAULT_DTYPE)
+        # gamma, beta and the running statistics are slices of one allocation
+        gamma, beta, mean, var = _NORM_INIT.repeat(channels).reshape(4, 1, channels, 1, 1)
+        self.gamma = Tensor(gamma, requires_grad=True)
+        self.beta = Tensor(beta, requires_grad=True)
+        self.running_mean, self.running_var = mean, var
         self.num_updates = np.zeros((1, 1, 1, 1), DEFAULT_DTYPE)
 
 

@@ -177,13 +177,27 @@ def render_sample(spec, size, index):
     return image.astype(np.float32), mask[None].astype(np.float32)
 
 
+# Bounds on a generated set, checked before anything is rendered: at most
+# MAX_SAMPLES samples of at most MAX_SIZE x MAX_SIZE, and at most
+# MAX_RENDERED_BYTES for the whole set as float32 (16 * size**2 bytes per
+# sample: three image channels and the mask), 16384 samples at 64x64.
+MAX_SAMPLES = 100_000
+MAX_SIZE = 2048
+MAX_RENDERED_BYTES = 2**30
+
+
 def generate_center(spec, n, size=64):
     """Render n samples for one center. Per-sample RNG streams make any
-    sample reproducible in isolation."""
-    if n < 1:
-        raise ConfigError(f"need n >= 1 samples, got {n}")
-    if size < 16:
-        raise ConfigError(f"size must be >= 16, got {size}")
+    sample reproducible in isolation. An n or size out of bounds, or a set
+    over MAX_RENDERED_BYTES, raises ConfigError before any sample is
+    rendered."""
+    if not 1 <= n <= MAX_SAMPLES:
+        raise ConfigError(f"n must be in [1, {MAX_SAMPLES}], got {n}")
+    if not 16 <= size <= MAX_SIZE:
+        raise ConfigError(f"size must be in [16, {MAX_SIZE}], got {size}")
+    if 16 * n * size * size > MAX_RENDERED_BYTES:
+        raise ConfigError(f"{n} samples of {size}x{size} take {16 * n * size * size} bytes as "
+                          f"float32, over the {MAX_RENDERED_BYTES}-byte bound")
     spec.validate()
     ds = Dataset(center_id=spec.center_id, spec=spec)
     for i in range(n):

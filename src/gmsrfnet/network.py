@@ -21,6 +21,15 @@ from .tensor import concat_channels, resize_bilinear, sigmoid
 CHECKPOINT_MAGIC = b"GMSRF2"
 
 
+# The largest value of each ModelConfig size field (for encoder_widths, of
+# each width). Each is far above any desk-scale model, so that a mistyped or
+# hostile config fails with ConfigError before numpy is asked for memory.
+# They bound each field, not the product of several: a config near every
+# bound at once still asks for more memory than a desk machine has.
+MODEL_BOUNDS = {"input_size": 1024, "encoder_widths": 1024, "rfb_channels": 1024,
+                "growth": 256, "layers_per_module": 32, "num_modules": 16}
+
+
 @dataclass
 class ModelConfig(Config):
     """Architecture hyperparameters; everything the training protocol leaves
@@ -37,13 +46,16 @@ class ModelConfig(Config):
 
     def validate(self):
         check_fields(self)
-        if self.input_size % 32 != 0 or self.input_size < 32:
-            raise ConfigError(f"input_size must be a positive multiple of 32, got {self.input_size}")
-        if len(self.encoder_widths) != 4 or any(w < 1 for w in self.encoder_widths):
-            raise ConfigError(f"encoder_widths must be 4 positive ints, got {self.encoder_widths}")
+        top = MODEL_BOUNDS["input_size"]
+        if not 32 <= self.input_size <= top or self.input_size % 32 != 0:
+            raise ConfigError(f"input_size must be a multiple of 32 in [32, {top}], got {self.input_size}")
+        top = MODEL_BOUNDS["encoder_widths"]
+        if len(self.encoder_widths) != 4 or any(not 1 <= w <= top for w in self.encoder_widths):
+            raise ConfigError(f"encoder_widths must be 4 ints in [1, {top}], got {self.encoder_widths}")
         for field in ("rfb_channels", "growth", "layers_per_module", "num_modules", "se_reduction"):
-            if getattr(self, field) < 1:
-                raise ConfigError(f"{field} must be >= 1, got {getattr(self, field)}")
+            value, top = getattr(self, field), MODEL_BOUNDS.get(field, math.inf)
+            if not 1 <= value <= top:
+                raise ConfigError(f"{field} must be in [1, {top}], got {value}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
@@ -113,12 +125,13 @@ class SupervisionHeads(Layer):
         for conv in self.convs:
             conv.bias.data[:] = prior_logit
 
+    def prob_map(self, level, d):
+        """The probability map of head ``level`` (0 for P4 ... 3 for P1) from
+        its decoder output."""
+        return sigmoid(resize_bilinear(self.convs[level](d), self.out_size, self.out_size))
+
     def forward(self, decoded):
-        maps = []
-        for conv, d in zip(self.convs, decoded):
-            logits = conv(d)
-            maps.append(sigmoid(resize_bilinear(logits, self.out_size, self.out_size)))
-        return maps  # [P4, P3, P2, P1]
+        return [self.prob_map(level, d) for level, d in enumerate(decoded)]  # [P4, P3, P2, P1]
 
 
 class SegmentationModel(Layer):
@@ -138,7 +151,8 @@ class SegmentationModel(Layer):
         self.decoder = Decoder(rng, config.rfb_channels)
         self.heads = SupervisionHeads(rng, config.rfb_channels, config.input_size)
 
-    def forward(self, image):
+    def _decode(self, image):
+        """Decoder outputs [D4, D3, D2, D1] of an (N, 3, input_size, input_size) image."""
         n, c, h, w = image.shape
         if c != 3 or h != self.config.input_size or w != self.config.input_size:
             raise ShapeError(
@@ -147,7 +161,16 @@ class SegmentationModel(Layer):
         bundle = self.encoder(image)
         for module in self.modules:
             bundle = module(bundle)
-        return self.heads(self.decoder(bundle))
+        return self.decoder(bundle)
+
+    def forward(self, image):
+        """All four supervision maps [P4, P3, P2, P1], which training needs."""
+        return self.heads(self._decode(image))
+
+    def segment(self, image):
+        """The primary map P1 alone, equal to ``self(image)[-1]``: inference
+        reads nothing else, so the three coarser heads are not run."""
+        return self.heads.prob_map(3, self._decode(image)[-1])
 
 
 def build_model(config):
@@ -246,7 +269,7 @@ def load_checkpoint(path):
     values = np.frombuffer(payload, "<f4", count=len(payload) // 4)
 
     def check(names, shapes):
-        size = sum(math.prod(shape) for shape in shapes)
+        size = sum(map(math.prod, shapes))
         if type(count) is not int or count != size or layout != _layout(names, shapes):
             raise FormatError(_LAYOUT_MISMATCH)
         extra = len(payload) - 4 * size

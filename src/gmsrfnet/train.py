@@ -175,14 +175,14 @@ def write_log(rows, path):
 
 
 def predict_maps(model, dataset, batch_size=8):
-    """Primary probability maps for every sample, in dataset order."""
+    """Primary probability maps (P1) for every sample, in dataset order; the
+    other three heads are not run."""
     model.set_training(False)
     preds = []
     with no_grad():
         for start in range(0, len(dataset), batch_size):
             images, _ = _stack_batch(dataset.samples[start : start + batch_size])
-            maps = model(images)
-            preds.extend(maps[-1].data[i] for i in range(images.shape[0]))
+            preds.extend(model.segment(images).data)
     return preds
 
 
@@ -222,8 +222,7 @@ def predict(checkpoint_path, image_path, out_mask_path):
         image = resize_image(image, size, size)
     model.set_training(False)
     with no_grad():
-        maps = model(Tensor(image[None]))
-    prob = maps[-1].data[0, 0]
+        prob = model.segment(Tensor(image[None])).data[0, 0]
     write_pnm(resize_mask((prob >= THRESHOLD)[None].astype(np.float32), orig_h, orig_w),
               out_mask_path)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gmsrfnet import tensor as T
-from gmsrfnet.blocks import ConvBlock, Resampler, ResidualStage, RfbBlock, SqueezeExcite
+from gmsrfnet.blocks import BatchNorm2d, ConvBlock, Resampler, ResidualStage, RfbBlock, SqueezeExcite
 from gmsrfnet.errors import ShapeError, UsageError
 from gmsrfnet.gradchecks import max_grad_error
 from gmsrfnet.tensor import Tensor
@@ -164,6 +164,30 @@ class TestResidualStage:
         err = max_grad_error(lambda: T.reduce_mean(T.mul(stage(x), stage(x))),
                              [x] + stage.parameters(), max_coords=80, rng=rng)
         assert err < 1e-5
+
+
+class TestBatchNorm2d:
+    def test_fresh_state(self):
+        bn = BatchNorm2d(5)
+        for array, value in ((bn.gamma.data, 1), (bn.beta.data, 0), (bn.running_mean, 0),
+                             (bn.running_var, 1)):
+            assert array.shape == (1, 5, 1, 1) and array.dtype == np.float32
+            assert np.array_equal(array, np.full((1, 5, 1, 1), value, np.float32))
+        assert bn.num_updates.shape == (1, 1, 1, 1) and bn.num_updates.item() == 0
+        assert bn.training and bn.gamma.requires_grad and bn.beta.requires_grad
+
+    @pytest.mark.parametrize("bound", [False, True])
+    def test_a_write_to_one_array_leaves_the_others(self, rng, bound):
+        block = ConvBlock(rng, 2, 3, 3)
+        if bound:
+            block.arena  # every parameter and buffer becomes a view of the arena
+        bn = block.bn
+        arrays = lambda: [bn.gamma.data, bn.beta.data, bn.running_mean, bn.running_var]
+        for i in range(4):
+            before = [a.copy() for a in arrays()]
+            arrays()[i][...] = 7.0 + i
+            for j, (a, b) in enumerate(zip(arrays(), before)):
+                assert np.all(a == 7.0 + i) if j == i else np.array_equal(a, b)
 
 
 class TestRegistry:

@@ -13,11 +13,15 @@ import zlib
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gmsrfnet
 from gmsrfnet.data import (
+    MAX_RENDERED_BYTES,
+    MAX_SAMPLES,
+    MAX_SIZE,
     CenterSpec,
     Dataset,
     default_center_a,
@@ -27,9 +31,11 @@ from gmsrfnet.data import (
     save_dataset,
 )
 from gmsrfnet.blocks import Arena
+from gmsrfnet.cli import main
 from gmsrfnet.errors import ConfigError, CorruptionError, FormatError
 from gmsrfnet.network import (
     CHECKPOINT_MAGIC,
+    MODEL_BOUNDS,
     ModelConfig,
     SegmentationModel,
     build_model,
@@ -141,6 +147,75 @@ class TestConfigs:
         assert ModelConfig.from_dict({"input_size": 64}) == ModelConfig(input_size=64)
         assert TrainConfig.from_dict({"lr": 1, "model": {"growth": 2}}) == TrainConfig(
             lr=1.0, model=ModelConfig(growth=2))
+
+
+def traced_peak(fn):
+    """The tracemalloc peak, in bytes, of calling ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def raises_config_error(fn):
+    def call():
+        with pytest.raises(ConfigError):
+            fn()
+    return call
+
+
+def run_cli(args):
+    result = CliRunner().invoke(main, args)
+    assert isinstance(result.exception, ConfigError), result.exception
+
+
+class TestModelBounds:
+    """Each size field of ModelConfig has an upper bound, checked on
+    construction, so a huge value never reaches numpy (BIG, below, stays
+    within them)."""
+
+    @pytest.mark.parametrize("field", sorted(MODEL_BOUNDS))
+    def test_one_over_each_bound_is_a_config_error(self, field):
+        top = MODEL_BOUNDS[field]
+        at, over = ((top,) * 4, (top, 8, 8, top + 1)) if field == "encoder_widths" else (top, top + 1)
+        if field == "input_size":
+            over = top + 32  # the next multiple of 32
+        ModelConfig.from_dict({field: at})
+        peak = traced_peak(raises_config_error(lambda: ModelConfig.from_dict({field: over})))
+        assert peak < 2**20
+
+    def test_huge_width_in_train_json_is_a_config_error(self, tmp_path):
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps({"model": {"encoder_widths": [10**9, 8, 8, 8]}}))
+        data = tmp_path / "data"
+        data.mkdir()
+        args = ["train", "--config", str(path), "--data", str(data), "--out", str(tmp_path / "m")]
+        assert traced_peak(lambda: run_cli(args)) < 2**20
+        with pytest.raises(ConfigError):
+            TrainConfig.from_json(str(path))
+
+
+class TestGenerationBounds:
+    """generate_center refuses a set over its bounds before rendering any
+    sample, through the API and through generate-data."""
+
+    CASES = [(MAX_SAMPLES + 1, 16), (1, MAX_SIZE + 1),
+             (MAX_RENDERED_BYTES // (16 * 64 * 64) + 1, 64)]
+    IDS = ["n", "size", "bytes"]
+
+    @pytest.mark.parametrize("n, size", CASES, ids=IDS)
+    def test_over_a_bound_through_the_api(self, n, size):
+        call = raises_config_error(lambda: generate_center(default_center_a(), n, size))
+        assert traced_peak(call) < 2**20
+
+    @pytest.mark.parametrize("n, size", CASES, ids=IDS)
+    def test_over_a_bound_through_the_cli(self, tmp_path, n, size):
+        out = tmp_path / "d"
+        args = ["generate-data", "--n", str(n), "--size", str(size), "--out", str(out)]
+        assert traced_peak(lambda: run_cli(args)) < 2**20
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -190,6 +190,36 @@ class TestModelForward:
             assert np.array_equal(p1[name], p2[name])
 
 
+class TestSegment:
+    """segment() runs the trunk and the primary head only."""
+
+    @staticmethod
+    def eval_model(dtype):
+        model = build_model(MICRO).astype(dtype)
+        x = Tensor(np.random.default_rng(12).uniform(0, 1, (2, 3, 32, 32)), dtype=dtype)
+        with no_grad():
+            model(x)  # one training update, so eval batch norm has statistics
+        model.set_training(False)
+        return model
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_segment_is_the_last_forward_map_bitwise(self, dtype, batch):
+        model = self.eval_model(dtype)
+        x = Tensor(np.random.default_rng(batch).uniform(0, 1, (batch, 3, 32, 32)), dtype=dtype)
+        with no_grad():
+            p1 = model.segment(x)
+            maps = model(x)
+        assert p1.dtype == dtype and p1.shape == (batch, 1, 32, 32)
+        assert np.array_equal(p1.data, maps[-1].data)
+
+    @pytest.mark.parametrize("shape", [(1, 3, 64, 64), (1, 1, 32, 32), (2, 3, 32, 16)])
+    def test_wrong_input_raises(self, shape):
+        model = build_model(MICRO)
+        with pytest.raises(ShapeError):
+            model.segment(Tensor(np.zeros(shape, np.float32)))
+
+
 class TestRegistry:
     @pytest.mark.parametrize("cfg", [MICRO, SMALL, ModelConfig()])
     def test_param_count_matches_symbolic_formula(self, cfg):

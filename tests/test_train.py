@@ -365,6 +365,46 @@ class TestPredict:
         assert grown < 1 << 20, grown
 
 
+class TestPrimaryMapOnly:
+    """Inference runs the primary head alone: one bilinear upscale per batch,
+    where the training forward runs four."""
+
+    @staticmethod
+    def count_resizes(monkeypatch):
+        network = importlib.import_module("gmsrfnet.network")
+        calls = []
+        resize = network.resize_bilinear
+        monkeypatch.setattr(network, "resize_bilinear", lambda *a: calls.append(a) or resize(*a))
+        return calls
+
+    @pytest.mark.parametrize("batch_size, batches", [(4, 1), (3, 2), (1, 4)])
+    def test_predict_maps_resizes_once_per_batch(self, monkeypatch, batch_size, batches):
+        from gmsrfnet.train import predict_maps
+        model = build_model(ModelConfig(**TINY_MODEL))
+        ds = generate_center(default_center_a(seed=4), 4, 32)
+        images = Tensor(np.stack([s.image for s in ds.samples]))
+        with no_grad():
+            model(images)  # statistics for eval batch norm
+        calls = self.count_resizes(monkeypatch)
+        maps = predict_maps(model, ds, batch_size)
+        assert len(calls) == batches and len(maps) == 4
+        # the forward's last map, batch by batch as predict_maps runs them
+        with no_grad():
+            expected = [model(Tensor(images.data[i : i + batch_size]))[-1].data
+                        for i in range(0, 4, batch_size)]
+        assert np.array_equal(np.stack(maps), np.concatenate(expected))
+
+    def test_predict_resizes_once(self, monkeypatch, tmp_path):
+        cfg = tiny_config(max_steps=1, epochs=1)
+        ckpt = str(tmp_path / "m.ckpt")
+        train(cfg, generate_center(default_center_a(seed=7), 2, 32), None, ckpt)
+        img_path = str(tmp_path / "in.ppm")
+        write_pnm(generate_center(default_center_a(seed=8), 1, 32).samples[0].image, img_path)
+        calls = self.count_resizes(monkeypatch)
+        predict(ckpt, img_path, str(tmp_path / "out.pgm"))
+        assert len(calls) == 1
+
+
 def tagged(ds):
     """ds with every sample carrying its split tag, in generation order."""
     parts = split_dataset(ds, ratios=(0.5, 0.25, 0.25), seed=0)
