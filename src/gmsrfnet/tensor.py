@@ -24,6 +24,7 @@ import numpy as np
 from .errors import NumericsError, ShapeError, StateError, UsageError
 
 DEFAULT_DTYPE = np.float32
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 _tls = threading.local()
 _creation = itertools.count()
@@ -60,7 +61,7 @@ class Tensor:
         arr = np.asarray(data)
         if dtype is not None:
             arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
+        elif arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(DEFAULT_DTYPE)
         if arr.ndim != 4:
             raise ShapeError(
@@ -517,18 +518,17 @@ def batch_norm(x, bn, act="linear"):
     ``bn`` is a ``blocks.BatchNorm2d``: the (1, C, 1, 1) parameters
     ``gamma`` and ``beta``, the (1, C, 1, 1) arrays ``running_mean`` and
     ``running_var``, the (1, 1, 1, 1) update count ``num_updates`` and the
-    mode flag ``training``. Train mode updates the statistics in place. It
-    normalizes by the batch mean and the centred two-pass variance over the
-    M = N*H*W values of each channel, and blends the running statistics by
+    mode flag ``training``. Both modes compute one formula,
+    (x - mean) * (gamma / sqrt(var + eps)) + beta, subtracting first so
+    that a large mean costs no float32 precision. Train mode takes the
+    batch mean and the centred two-pass variance over the M = N*H*W values
+    of each channel and blends them into the running statistics by
     ``BN_MOMENTUM``; at M = 1 the output is act(beta) and the input
-    gradient zero. Eval mode normalizes by the running statistics and
-    requires at least one prior training update. It computes
-    (x - running_mean) * (gamma / std) + beta, subtracting first so that a
-    large running mean costs no float32 precision, and its backward
-    rebuilds xhat from x.
-
-    The closed-form backward reads the leaky mask from the output's sign,
-    which a positive slope keeps equal to the pre-activation's.
+    gradient zero. Eval mode takes the running statistics, which need at
+    least one prior training update. The node keeps only its output: the
+    backward rebuilds x - mean from the input, and reads the leaky mask
+    from the output's sign, which a positive slope keeps equal to the
+    pre-activation's.
     """
     if act not in ("linear", "leaky_relu"):
         raise UsageError(f"batch_norm: unsupported activation {act!r}")
@@ -540,8 +540,8 @@ def batch_norm(x, bn, act="linear"):
     count = n * h * w
     if training:
         mean = _channel_sum(x.data) / count
-        xhat = x.data - mean
-        var = _channel_sum(xhat, xhat) / count
+        y = x.data - mean
+        var = _channel_sum(y, y) / count
         unbiased = var * (count / (count - 1)) if count > 1 else var
         m = dt(BN_MOMENTUM)
         bn.running_mean *= 1 - m
@@ -549,16 +549,14 @@ def batch_norm(x, bn, act="linear"):
         bn.running_var *= 1 - m
         bn.running_var += m * unbiased
         bn.num_updates += 1
-        inv_std = 1.0 / np.sqrt(var + dt(BN_EPS))
-        xhat *= inv_std
-        y = xhat * gamma.data
     else:
         if not bn.num_updates.item() > 0:
             raise StateError("batch_norm: eval mode before any training update")
-        mean = bn.running_mean.copy()  # the backward rebuilds xhat from it
-        std = np.sqrt(bn.running_var + dt(BN_EPS))
+        mean, var = bn.running_mean.copy(), bn.running_var  # train mode updates them in place
         y = x.data - mean
-        y *= gamma.data / std
+    std = np.sqrt(var + dt(BN_EPS))
+    k = gamma.data / std
+    y *= k
     y += beta.data
     leaky = act == "leaky_relu"
     if leaky:
@@ -566,15 +564,15 @@ def batch_norm(x, bn, act="linear"):
         np.maximum(y, y * slope, out=y)
 
     def backward_fn(g):
-        g_z = np.where(y > 0, g, g * slope) if leaky else g
+        g_z = g * np.maximum(np.sign(y), slope) if leaky else g
+        centred = x.data - mean
         g_beta = _channel_sum(g_z)
-        if not training:
-            return g_z * (gamma.data / std), _channel_sum(g_z, x.data - mean) / std, g_beta
-        g_gamma = _channel_sum(g_z, xhat)
-        k = gamma.data * inv_std
+        g_gamma = _channel_sum(g_z, centred) / std
         g_x = g_z * k
-        g_x -= xhat * (k * g_gamma / count)
-        g_x -= k * g_beta / count
+        if training:
+            centred *= k * g_gamma / (std * count)
+            centred += k * g_beta / count
+            g_x -= centred
         return g_x, g_gamma, g_beta
 
     return _record(y, [x, gamma, beta], backward_fn)

@@ -569,6 +569,81 @@ class TestBatchNorm:
         assert y.data.dtype == np.float32
         assert np.abs(y.data - oracle).max() < 1e-2
 
+    @pytest.mark.parametrize("act", ["linear", "leaky_relu"])
+    def test_train_node_keeps_only_its_output(self, act):
+        x = Tensor(np.random.default_rng(13).normal(size=(4, 3, 5, 6)).astype(np.float32), requires_grad=True)
+        y = T.batch_norm(x, reference.norm([1.0, 2.0, 0.5], [0.0, 0.1, -0.1]), act=act)
+        held = []
+        for cell in y._backward_fn.__closure__:
+            try:
+                held.append(cell.cell_contents)
+            except ValueError:  # the leaky slope is unbound under "linear"
+                pass
+        kept = [a for a in held if isinstance(a, np.ndarray) and a.size == x.data.size]
+        assert len(kept) == 1 and kept[0] is y.data
+
+    def test_eval_float32_output_is_the_numpy_formula_bytewise(self):
+        rng = np.random.default_rng(14)
+        c = 5
+        state = reference.norm(rng.uniform(0.5, 1.5, c), rng.normal(0, 0.3, c), training=False)
+        state.running_mean[...] = rng.normal(0.5, 1.0, (1, c, 1, 1))
+        state.running_var[...] = rng.uniform(0.3, 3.0, (1, c, 1, 1))
+        state.num_updates[...] = 1
+        raw = rng.normal(1.0, 2.0, (3, c, 6, 7)).astype(np.float32)
+        y = T.batch_norm(Tensor(raw), state, act="leaky_relu")
+        z = (raw - state.running_mean) * (
+            state.gamma.data / np.sqrt(state.running_var + np.float32(T.BN_EPS))) + state.beta.data
+        expected = np.maximum(z, z * np.float32(T.LEAKY_ALPHA))
+        assert (z < 0).any() and (z > 0).any()
+        assert y.data.dtype == np.float32 and y.data.tobytes() == expected.tobytes()
+
+    def test_leaky_backward_passes_g_above_zero_and_scales_it_at_signed_zeros(self):
+        # x equal to the running mean gives y = 0 * k + beta: +0.0 in channel 0
+        # (k = 1, beta = 0.0) and -0.0 in channel 1 (k = -1, beta = -0.0)
+        rng = np.random.default_rng(15)
+        state = reference.norm([1.0, -1.0], [0.0, -0.0], training=False)
+        state.running_mean[...] = np.float32([0.25, -0.5]).reshape(1, 2, 1, 1)
+        state.num_updates[...] = 1
+        std = np.sqrt(state.running_var + np.float32(T.BN_EPS))
+        state.gamma.data[...] *= std  # k = gamma / std is exactly +1 and -1
+        raw = rng.normal(size=(2, 2, 4, 4)).astype(np.float32)
+        raw[:, :, :2] = state.running_mean
+        x = Tensor(raw, requires_grad=True)
+        y = T.batch_norm(x, state, act="leaky_relu")
+        zero = y.data == 0
+        assert np.signbit(y.data[:, 0][zero[:, 0]]).sum() == 0
+        assert np.signbit(y.data[:, 1][zero[:, 1]]).all() and zero[:, 1].sum() == 16
+        assert (y.data > 0).any() and (y.data < 0).any()
+        g = rng.normal(size=raw.shape).astype(np.float32)
+        backward(reference.sum_loss(y, g))
+        g_z = x.grad * np.float32([1, -1]).reshape(1, 2, 1, 1)
+        positive = y.data > 0
+        assert g_z[positive].tobytes() == g[positive].tobytes()
+        assert g_z[~positive].tobytes() == (g[~positive] * np.float32(T.LEAKY_ALPHA)).tobytes()
+        assert g_z[zero].tobytes() == (g[zero] * np.float32(T.LEAKY_ALPHA)).tobytes()
+
+    def test_eval_backward_uses_its_forwards_statistics(self):
+        # a later train-mode forward moves the running statistics in place
+        rng = np.random.default_rng(16)
+        shape, c = (2, 3, 4, 5), 3
+        state = reference.norm(rng.uniform(0.5, 1.5, c), rng.normal(0, 0.3, c),
+                               training=False, dtype=np.float64)
+        state.running_mean[...] = rng.normal(0.5, 1.0, (1, c, 1, 1))
+        state.running_var[...] = rng.uniform(0.3, 3.0, (1, c, 1, 1))
+        state.num_updates[...] = 1
+        mean, var = state.running_mean.ravel().copy(), state.running_var.ravel().copy()
+        x = Tensor(rng.normal(1.0, 2.0, shape), dtype=np.float64, requires_grad=True)
+        y = T.batch_norm(x, state, act="leaky_relu")
+        state.training = True
+        T.batch_norm(Tensor(rng.normal(5.0, 4.0, shape), dtype=np.float64), state)
+        assert np.abs(state.running_mean.ravel() - mean).min() > 0.1
+        g = rng.normal(size=shape)
+        backward(reference.sum_loss(y, g))
+        expected = reference.batchnorm_eval_loops(
+            x.data, state.gamma.data.ravel(), state.beta.data.ravel(), mean, var, g, slope=0.01)
+        for got, want in zip((x.grad, state.gamma.grad.ravel(), state.beta.grad.ravel()), expected[1:]):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
 
 class TestPoolLinearResize:
     def test_gap_mean(self):
