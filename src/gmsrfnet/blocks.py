@@ -163,7 +163,7 @@ class Layer:
     def astype(self, dtype):
         """Recast the arena to ``dtype``, rebinding every view, and return
         self. Layers build float32; gradient checks use ``astype(np.float64)``.
-        An optimizer made before the cast keeps working."""
+        Make the optimizer after the cast."""
         arena = self.arena
         arena.params, arena._grads, arena.buffers = (
             a.astype(dtype) for a in (arena.params, arena.grads, arena.buffers))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,30 +244,19 @@ def split_dataset(dataset, ratios=(0.8, 0.1, 0.1), seed=0):
 # -- PNM I/O --------------------------------------------------------------------
 
 
+# The Netpbm binary header: the magic, then width, height and maxval, each
+# after any mix of whitespace and "#" comments to end of line. A field runs
+# to the next whitespace byte; the one after maxval ends the header.
+_PNM_HEADER = re.compile(rb"(P[56])" + rb"(?:\s|#[^\n]*\n)*([^\s#]\S*)\s" * 3)
+
+
 def _read_pnm_header(blob, path):
-    magic = blob[:2]
-    if magic not in (b"P5", b"P6"):
-        raise FormatError(f"{path}: unsupported PNM magic {magic!r}")
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        if pos >= len(blob):
-            raise FormatError(f"{path}: truncated PNM header")
-        ch = blob[pos : pos + 1]
-        if ch == b"#":
-            nl = blob.find(b"\n", pos)
-            if nl < 0:
-                raise FormatError(f"{path}: truncated PNM comment")
-            pos = nl + 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(blob) and not blob[end : end + 1].isspace():
-                end += 1
-            fields.append(blob[pos:end])
-            pos = end
-    pos += 1  # single whitespace after maxval
+    header = _PNM_HEADER.match(blob)
+    if header is None:
+        if blob[:2] not in (b"P5", b"P6"):
+            raise FormatError(f"{path}: unsupported PNM magic {blob[:2]!r}")
+        raise FormatError(f"{path}: truncated or malformed PNM header")
+    magic, *fields = header.groups()
     try:
         width, height, maxval = (int(f) for f in fields)
     except ValueError as e:
@@ -275,12 +265,15 @@ def _read_pnm_header(blob, path):
         raise FormatError(f"{path}: only maxval 255 is supported, got {maxval}")
     if width < 1 or height < 1:
         raise FormatError(f"{path}: bad PNM size {width}x{height}")
-    return magic, width, height, pos
+    return magic, width, height, header.end()
 
 
 def read_pnm(path):
     """Read a P6 image as (3, H, W) float in [0, 1] or a P5 mask as (1, H, W)
-    binarized at 128."""
+    binarized at 128. A path that is not a regular file (a directory, a
+    FIFO) raises DataError before it is opened."""
+    if not os.path.isfile(path):
+        raise DataError(f"{path}: is not a regular file")
     with open(path, "rb") as f:
         blob = f.read()
     magic, width, height, pos = _read_pnm_header(blob, path)
@@ -296,17 +289,13 @@ def read_pnm(path):
     return (raw.transpose(2, 0, 1) >= 128).astype(np.float32)
 
 
-def _float_to_byte(x):
-    return np.round(np.clip(x, 0.0, 1.0) * 255.0).astype(np.uint8)
-
-
 def write_pnm(x, path):
-    """Write (3, H, W) data as P6 or (1, H, W) as P5, maxval 255."""
+    """Write float (3, H, W) data in [0, 1] as P6 or (1, H, W) as P5, maxval
+    255: each value is stored as round(clip(v, 0, 1) * 255)."""
     arr = np.asarray(x)
     if arr.ndim != 3 or arr.shape[0] not in (1, 3):
         raise FormatError(f"write_pnm expects (1|3, H, W) data, got {arr.shape}")
-    if arr.dtype != np.uint8:
-        arr = _float_to_byte(arr)
+    arr = np.round(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
     channels, height, width = arr.shape
     magic = b"P6" if channels == 3 else b"P5"
     with open(path, "wb") as f:
@@ -417,7 +406,10 @@ def save_dataset(dataset, out_dir):
 
 def _read_manifest(path):
     """Center id, spec and per-sample entries by id of a dataset.json in the
-    layout save_dataset writes; FormatError for anything else."""
+    layout save_dataset writes; DataError if it is not a regular file,
+    FormatError for anything else."""
+    if not os.path.isfile(path):
+        raise DataError(f"{path}: is not a regular file")
     with open(path) as f:
         try:
             manifest = json.load(f)

@@ -18,8 +18,8 @@ class Adam:
 
     Works on a layer's ``Arena``: one step is a handful of vectorized
     expressions over its flat ``params`` and ``grads``, with flat moments
-    ``m`` and ``v`` that follow the arena's dtype if ``Layer.astype`` recasts
-    it after the optimizer is made.
+    ``m`` and ``v`` of the arena's dtype. Make the optimizer after any
+    ``Layer.astype``.
 
     step() validates every gradient before touching any parameter, so a
     NumericsError leaves the model exactly as it was after the last
@@ -44,9 +44,6 @@ class Adam:
         if not finite.all():
             bad = bisect.bisect_right(self.arena.offsets, np.argmin(finite)) - 1
             raise NumericsError(f"non-finite gradient for parameter {self.arena.names[bad]!r}")
-        if self.m.dtype != params.dtype:
-            self.m, self.v = self.m.astype(params.dtype), self.v.astype(params.dtype)
-            self._scratch = np.empty_like(self._scratch, dtype=params.dtype)
         self.t += 1
         bc1 = 1.0 - BETA1**self.t
         bc2 = 1.0 - BETA2**self.t

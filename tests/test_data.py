@@ -194,6 +194,15 @@ class TestPnm:
         mask = read_pnm(path)
         assert mask.ravel().tolist() == [0.0, 1.0, 1.0, 0.0]
 
+    def test_comment_before_every_field_reads_like_the_plain_header(self, tmp_path):
+        payload = bytes(range(0, 240, 40)) * 3
+        plain, commented = tmp_path / "plain.ppm", tmp_path / "commented.ppm"
+        plain.write_bytes(b"P6\n2 3\n255\n" + payload)
+        commented.write_bytes(b"P6# width\n2\n# height\n3\n# maxval\n255\n" + payload)
+        first, second = read_pnm(plain), read_pnm(commented)
+        assert first.shape == second.shape == (3, 3, 2)
+        assert first.tobytes() == second.tobytes()
+
     def test_ascii_magic_rejected(self, tmp_path):
         path = tmp_path / "m.pnm"
         path.write_bytes(b"P3\n2 2\n255\n0 0 0 0 0 0 0 0 0 0 0 0")

@@ -5,9 +5,11 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import zlib
 
@@ -32,7 +34,7 @@ from gmsrfnet.data import (
 )
 from gmsrfnet.blocks import Arena
 from gmsrfnet.cli import main
-from gmsrfnet.errors import ConfigError, CorruptionError, FormatError
+from gmsrfnet.errors import ConfigError, CorruptionError, DataError, FormatError
 from gmsrfnet.network import (
     CHECKPOINT_MAGIC,
     MODEL_BOUNDS,
@@ -258,6 +260,36 @@ class TestManifest:
             load_folder(folder, 16)
 
 
+class TestFolderEntries:
+    @pytest.mark.parametrize("entry", ["images/center-a_00000.ppm", "masks/center-a_00000.pgm",
+                                       "dataset.json"], ids=["image", "mask", "manifest"])
+    def test_a_directory_in_place_of_a_file(self, tmp_path, entry):
+        save_dataset(generate_center(default_center_a(), 2, 16), tmp_path)
+        victim = tmp_path / entry
+        victim.unlink()
+        victim.mkdir()
+        with pytest.raises(DataError, match=re.escape(str(victim))):
+            load_folder(tmp_path, 16)
+
+    def test_a_fifo_in_place_of_an_image(self, tmp_path):
+        save_dataset(generate_center(default_center_a(), 2, 16), tmp_path)
+        victim = tmp_path / "images" / "center-a_00000.ppm"
+        victim.unlink()
+        os.mkfifo(victim)
+        # a reader that opens the FIFO meets this writer and reads end of file
+        # instead of blocking for ever; the read end the test holds at the
+        # end lets the writer finish if no reader came
+        writer = threading.Thread(target=lambda: open(victim, "wb").close())
+        writer.start()
+        try:
+            with pytest.raises(DataError, match=re.escape(str(victim))):
+                load_folder(tmp_path, 16)
+        finally:
+            reader = os.open(victim, os.O_RDONLY | os.O_NONBLOCK)
+            writer.join()
+            os.close(reader)
+
+
 @pytest.fixture(scope="module")
 def micro_checkpoint():
     with tempfile.TemporaryDirectory() as tmp:
@@ -368,10 +400,16 @@ class TestCheckpointHeader:
         assert peak_rss_mb_of_failed_load(path, "CorruptionError") < 200
 
 
+PNM_SEPARATORS = st.sampled_from([b"\n", b" ", b"\t", b"\r", b"\x0b", b"\x0c", b"\n#c\n", b"#c\n",
+                                  b" #c 4\n\t"])
+PNM_FIELDS = st.integers(-3, 5).map(b"%d".__mod__) | st.sampled_from([b"+4", b"04", b"1_0", b"4#c"])
 PNM_HEADERS = st.builds(
-    lambda magic, w, h, maxval, sep: b"%s%s%d %d%s%d\n" % (magic, sep, w, h, sep, maxval),
-    st.sampled_from([b"P5", b"P6"]), st.integers(-3, 5), st.integers(-3, 5),
-    st.sampled_from([255, 0, -1, 65535]), st.sampled_from([b"\n", b" ", b"\n#c\n"]),
+    lambda magic, seps, fields, end: magic + b"".join(s + f for s, f in zip(seps, fields)) + end,
+    st.sampled_from([b"P5", b"P6"]),
+    st.tuples(PNM_SEPARATORS | st.just(b""), PNM_SEPARATORS, PNM_SEPARATORS),
+    st.tuples(PNM_FIELDS, PNM_FIELDS,
+              st.sampled_from([b"255", b"0", b"-1", b"65535", b"+255", b"0255", b"2_55", b"255#c"])),
+    st.sampled_from([b"\n", b""]),  # b"" with no payload: end of file right after maxval
 )
 
 

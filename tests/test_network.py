@@ -260,21 +260,6 @@ class TestAstype:
         assert any(not np.array_equal(a, p.data) for a, p in zip(start, model.parameters()))
         assert all(a.dtype == np.float64 for _, a in named_arrays(model))
 
-    def test_optimizer_made_before_the_cast_updates_the_cast_model(self):
-        model = SegmentationModel(MICRO)
-        adam = Adam(model.arena, lr=1e-3)
-        model.astype(np.float64)
-        rng = np.random.default_rng(2)
-        image = Tensor(rng.uniform(0, 1, (2, 3, 32, 32)), dtype=np.float64)
-        target = (rng.uniform(0, 1, (2, 1, 32, 32)) > 0.7).astype(np.float64)
-        adam.zero_grad()
-        backward(total_loss(model(image), target))
-        start = model.arena.params.copy()
-        adam.step()
-        assert model.arena.params.dtype == adam.m.dtype == np.float64
-        assert not np.array_equal(start, model.arena.params)
-        assert all(p.data.base is model.arena.params for p in model.parameters())
-
 
 def protocol_batch(seed, n=2):
     rng = np.random.default_rng(seed)

@@ -933,3 +933,23 @@ class TestPublicSurface:
                 if isinstance(node, ast.Call):
                     called.add(getattr(node.func, "id", getattr(node.func, "attr", None)))
         assert sorted(public - called) == []
+
+    def test_every_public_function_has_a_caller_outside_the_tests(self):
+        # click calls the commands; data.default_center_b is the protocol's
+        # center B, and examples/center-b.json is checked against it
+        exempt = {"data.default_center_b"}
+        root = Path(__file__).resolve().parents[1]
+        package = root / "src" / "gmsrfnet"
+        sources = [*package.glob("*.py"), *(root / "perfbench").glob("*.py")]
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for path in sources for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Call)}
+        uncalled = []
+        for path in package.glob("*.py"):
+            for node in ast.parse(path.read_text()).body:
+                if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                        and node.name not in called and f"{path.stem}.{node.name}" not in exempt
+                        and not any(ast.unparse(d).startswith("main.command(")
+                                    for d in node.decorator_list)):
+                    uncalled.append(f"{path.stem}.{node.name}")
+        assert sorted(uncalled) == []
