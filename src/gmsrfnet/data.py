@@ -119,28 +119,19 @@ class Dataset:
 # -- synthetic rendering ----------------------------------------------------
 
 
-def _smooth_field(rng, size, scale):
-    """Low-frequency texture: coarse noise upsampled bilinearly."""
-    coarse = rng.normal(0.0, 1.0, (4, 4))
-    m = interp_matrix(size, 4, np.float64)
-    return (m @ coarse @ m.T) * scale
-
-
 def _render_blob(rng, spec, size, first):
     margin = (0.25, 0.75) if first else (0.1, 0.9)
     cy = rng.uniform(*margin) * size
     cx = rng.uniform(*margin) * size
     radius = rng.uniform(*spec.blob_radius) * size
-    yy, xx = np.mgrid[0:size, 0:size]
-    dy = yy - cy
-    dx = xx - cx
+    dy = (np.arange(size) - cy)[:, None]
+    dx = np.arange(size) - cx
     if spec.family == "smooth-ellipse":
-        ry = radius
         rx = radius * rng.uniform(0.6, 1.0)
         angle = rng.uniform(0.0, np.pi)
         ca, sa = np.cos(angle), np.sin(angle)
         u = (dx * ca + dy * sa) / rx
-        v = (-dx * sa + dy * ca) / ry
+        v = (-dx * sa + dy * ca) / radius
         return u * u + v * v <= 1.0
     # lumpy-polygon: star-convex radius modulated by low-order harmonics
     rho = np.sqrt(dx * dx + dy * dy)
@@ -161,21 +152,26 @@ def render_sample(spec, size, index):
     for b in range(count):
         mask |= _render_blob(rng, spec, size, first=(b == 0))
 
-    image = np.empty((3, size, size), np.float64)
-    for ch in range(3):
-        bg = spec.bg_mean[ch] + _smooth_field(rng, size, spec.bg_var)
-        fg = spec.fg_mean[ch] + _smooth_field(rng, size, spec.fg_var)
-        image[ch] = np.where(mask, fg, bg)
+    # per channel, background then foreground texture: 4x4 noise upsampled
+    m = interp_matrix(size, 4, np.float64)
+    fields = m @ rng.normal(0.0, 1.0, (3, 2, 4, 4)) @ m.T
+    fields *= np.array([spec.bg_var, spec.fg_var])[:, None, None]
+    fields += np.array([spec.bg_mean, spec.fg_mean]).T[:, :, None, None]
+    image = np.where(mask, fields[:, 1], fields[:, 0])
 
     # linear illumination ramp along a random direction
     theta = rng.uniform(0.0, 2 * np.pi)
-    yy, xx = np.mgrid[0:size, 0:size]
-    proj = (np.cos(theta) * xx + np.sin(theta) * yy) / size
+    axis = np.arange(size)
+    proj = (np.cos(theta) * axis + np.sin(theta) * axis[:, None]) / size
     image *= 1.0 + spec.illumination * (proj - proj.mean())
 
-    image += rng.normal(0.0, spec.noise_sigma, image.shape)
-    np.clip(image, 0.0, 1.0, out=image)
-    return image.astype(np.float32), mask[None].astype(np.float32)
+    # rng.normal(0, sigma) is 0 + sigma * z; the + 0 turns -0.0 into +0.0
+    noise = rng.standard_normal(image.shape)
+    noise *= spec.noise_sigma
+    noise += 0.0
+    image += noise
+    image = np.clip(image, 0.0, 1.0, out=np.empty(image.shape, np.float32))
+    return image, mask[None].astype(np.float32)
 
 
 # Bounds on a generated set, checked before anything is rendered: at most
@@ -291,10 +287,14 @@ def read_pnm(path):
 
 def write_pnm(x, path):
     """Write float (3, H, W) data in [0, 1] as P6 or (1, H, W) as P5, maxval
-    255: each value is stored as round(clip(v, 0, 1) * 255)."""
+    255: each value is stored as round(clip(v, 0, 1) * 255). A path that
+    exists and is not a regular file (a directory, a FIFO) raises DataError
+    before it is opened."""
     arr = np.asarray(x)
     if arr.ndim != 3 or arr.shape[0] not in (1, 3):
         raise FormatError(f"write_pnm expects (1|3, H, W) data, got {arr.shape}")
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise DataError(f"{path}: is not a regular file")
     arr = np.round(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
     channels, height, width = arr.shape
     magic = b"P6" if channels == 3 else b"P5"
@@ -384,11 +384,16 @@ def augment(sample, rng):
 
 
 def save_dataset(dataset, out_dir):
-    """Write images/*.ppm, masks/*.pgm, and a dataset.json manifest."""
+    """Write images/*.ppm, masks/*.pgm, and a dataset.json manifest; an
+    entry that exists and is not a regular file, or an images/ or masks/
+    that is not a directory, raises DataError."""
     img_dir = os.path.join(out_dir, "images")
     mask_dir = os.path.join(out_dir, "masks")
-    os.makedirs(img_dir, exist_ok=True)
-    os.makedirs(mask_dir, exist_ok=True)
+    for folder in (img_dir, mask_dir):
+        try:
+            os.makedirs(folder, exist_ok=True)
+        except FileExistsError as e:
+            raise DataError(f"{folder}: is not a directory") from e
     for s in dataset.samples:
         write_pnm(s.image, os.path.join(img_dir, s.id + ".ppm"))
         write_pnm(s.mask, os.path.join(mask_dir, s.id + ".pgm"))
@@ -400,7 +405,10 @@ def save_dataset(dataset, out_dir):
             for s in dataset.samples
         ],
     }
-    with open(os.path.join(out_dir, "dataset.json"), "w") as f:
+    manifest_path = os.path.join(out_dir, "dataset.json")
+    if os.path.exists(manifest_path) and not os.path.isfile(manifest_path):
+        raise DataError(f"{manifest_path}: is not a regular file")
+    with open(manifest_path, "w") as f:
         json.dump(manifest, f, indent=2)
 
 

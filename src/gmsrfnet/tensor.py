@@ -365,6 +365,14 @@ def conv_transpose2d(x, weight, bias=None, stride=1, padding=0):
     y = _correlate(x.data, _flip(wd), kh - 1 - padding, stride, 1, 1, out_h, out_w)
 
     def grads(g):
+        if stride > 1 and (kh > 1 or padding > 0):
+            # both strided gradients multiply the same im2col columns of g; an
+            # unpadded 1x1 kernel reads g without a buffer and takes the path below
+            cols = _im2col(_place(g, out_h + 2 * padding, out_w + 2 * padding, padding),
+                           kh, stride, 1, h, w)
+            g_x = np.matmul(wd.reshape(cin, -1), cols).reshape(cin, -1, h, w)
+            g_w = np.matmul(x.data.transpose(1, 0, 2, 3).reshape(cin, -1), cols.T)
+            return np.ascontiguousarray(g_x.transpose(1, 0, 2, 3)), g_w.reshape(wd.shape)
         g_x = _correlate(g, wd, padding, 1, stride, 1, h, w)
         return g_x, _conv_weight_grad(x.data, g, stride, padding, 1, wd.shape)
 
@@ -564,7 +572,11 @@ def batch_norm(x, bn, act="linear"):
         np.maximum(y, y * slope, out=y)
 
     def backward_fn(g):
-        g_z = g * np.maximum(np.sign(y), slope) if leaky else g
+        g_z = g
+        if leaky:
+            g_z = np.sign(y)
+            np.maximum(g_z, slope, out=g_z)
+            g_z *= g
         centred = x.data - mean
         g_beta = _channel_sum(g_z)
         g_gamma = _channel_sum(g_z, centred) / std

@@ -82,6 +82,18 @@ class TestGeneration:
         spec = default_center_b()
         assert CenterSpec.from_dict(spec.to_dict()) == spec
 
+    def test_rendering_pinned_by_digest(self):
+        # a change to the draws, their order or the arithmetic of a pixel, in
+        # either blob family, moves this digest
+        digest = hashlib.sha256()
+        for make in (default_center_a, default_center_b):
+            for size in (16, 33, 64):
+                for s in generate_center(make(), 8, size):
+                    digest.update(s.image.tobytes())
+                    digest.update(s.mask.tobytes())
+        assert digest.hexdigest() == (
+            "7ffb5afab16e103894c16b0bde79511860357e35d4fc3d828bcee55bad4a107b")
+
     @pytest.mark.parametrize("name, make", [("a", default_center_a), ("b", default_center_b)])
     def test_example_spec_files_match_the_defaults(self, name, make):
         # the CLI reaches the paper's two centers only through these files

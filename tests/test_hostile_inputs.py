@@ -260,9 +260,13 @@ class TestManifest:
             load_folder(folder, 16)
 
 
+FOLDER_ENTRIES = pytest.mark.parametrize(
+    "entry", ["images/center-a_00000.ppm", "masks/center-a_00000.pgm", "dataset.json"],
+    ids=["image", "mask", "manifest"])
+
+
 class TestFolderEntries:
-    @pytest.mark.parametrize("entry", ["images/center-a_00000.ppm", "masks/center-a_00000.pgm",
-                                       "dataset.json"], ids=["image", "mask", "manifest"])
+    @FOLDER_ENTRIES
     def test_a_directory_in_place_of_a_file(self, tmp_path, entry):
         save_dataset(generate_center(default_center_a(), 2, 16), tmp_path)
         victim = tmp_path / entry
@@ -270,6 +274,20 @@ class TestFolderEntries:
         victim.mkdir()
         with pytest.raises(DataError, match=re.escape(str(victim))):
             load_folder(tmp_path, 16)
+
+    @FOLDER_ENTRIES
+    def test_save_refuses_a_directory_in_place_of_a_file(self, tmp_path, entry):
+        victim = tmp_path / entry
+        victim.mkdir(parents=True)
+        with pytest.raises(DataError, match=re.escape(str(victim))):
+            save_dataset(generate_center(default_center_a(), 2, 16), tmp_path)
+
+    @pytest.mark.parametrize("folder", ["images", "masks"])
+    def test_save_refuses_a_file_in_place_of_a_folder(self, tmp_path, folder):
+        victim = tmp_path / folder
+        victim.write_bytes(b"")
+        with pytest.raises(DataError, match=re.escape(str(victim))):
+            save_dataset(generate_center(default_center_a(), 2, 16), tmp_path)
 
     def test_a_fifo_in_place_of_an_image(self, tmp_path):
         save_dataset(generate_center(default_center_a(), 2, 16), tmp_path)
