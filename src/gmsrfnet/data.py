@@ -124,24 +124,34 @@ def _render_blob(rng, spec, size, first):
     cy = rng.uniform(*margin) * size
     cx = rng.uniform(*margin) * size
     radius = rng.uniform(*spec.blob_radius) * size
-    dy = (np.arange(size) - cy)[:, None]
-    dx = np.arange(size) - cx
     if spec.family == "smooth-ellipse":
+        dy = (np.arange(size) - cy)[:, None]
+        dx = np.arange(size) - cx
         rx = radius * rng.uniform(0.6, 1.0)
         angle = rng.uniform(0.0, np.pi)
         ca, sa = np.cos(angle), np.sin(angle)
         u = (dx * ca + dy * sa) / rx
         v = (-dx * sa + dy * ca) / radius
         return u * u + v * v <= 1.0
-    # lumpy-polygon: star-convex radius modulated by low-order harmonics
+    # lumpy-polygon: star-convex radius modulated by low-order harmonics. It
+    # lies within radius * (1 + amps.sum()) of its centre, so only the square
+    # one pixel wider is computed: no pixel outside is near enough to the
+    # boundary for rounding to put it in
+    amps = rng.uniform(0.0, spec.lumpiness / 3.0, 3)
+    phases = rng.uniform(0.0, 2 * np.pi, 3)
+    half = radius * (1.0 + amps.sum()) + 1.0
+    r0, c0 = max(0, int(cy - half)), max(0, int(cx - half))
+    r1, c1 = min(size, int(cy + half) + 1), min(size, int(cx + half) + 1)
+    dy = (np.arange(r0, r1) - cy)[:, None]
+    dx = np.arange(c0, c1) - cx
     rho = np.sqrt(dx * dx + dy * dy)
     phi = np.arctan2(dy, dx)
     wobble = np.zeros_like(phi)
-    amps = rng.uniform(0.0, spec.lumpiness / 3.0, 3)
-    phases = rng.uniform(0.0, 2 * np.pi, 3)
     for m, (a, ph) in enumerate(zip(amps, phases), start=2):
         wobble += a * np.cos(m * phi + ph)
-    return rho <= radius * (1.0 + wobble)
+    mask = np.zeros((size, size), bool)
+    mask[r0:r1, c0:c1] = rho <= radius * (1.0 + wobble)
+    return mask
 
 
 def render_sample(spec, size, index):

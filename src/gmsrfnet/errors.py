@@ -3,6 +3,7 @@ checks turn a JSON file or object into a config or a ConfigError."""
 import dataclasses
 import json
 import math
+import os
 
 
 class GmsrfError(Exception):
@@ -66,8 +67,11 @@ class Config:
 
     @classmethod
     def from_json(cls, path):
-        """The config in the JSON file at ``path``; a file that is not a JSON
-        document raises ConfigError, as a bad config does."""
+        """The config in the JSON file at ``path``; a path that is not a
+        regular file, or a file that is not a JSON document, raises
+        ConfigError, as a bad config does."""
+        if not os.path.isfile(path):
+            raise ConfigError(f"{path}: is not a regular file")
         with open(path) as f:
             try:
                 d = json.load(f)

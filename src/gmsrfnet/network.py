@@ -247,7 +247,11 @@ def load_checkpoint(path):
     arena is allocated: header values are only compared, never used to size
     or slice, and a config larger than the payload fails before its model
     is. The layer tree is built on views of the payload, and the arena's
-    params and buffers are one copy each of the payload's two blocks."""
+    params and buffers are one copy each of the payload's two blocks. A
+    path that is not a regular file (missing, a directory, a FIFO) raises
+    FormatError before it is opened."""
+    if not os.path.isfile(path):
+        raise FormatError(f"{path}: is not a regular file")
     with open(path, "rb") as f:
         blob = f.read()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:

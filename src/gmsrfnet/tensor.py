@@ -186,12 +186,13 @@ def _check_same_shape(op, x, y):
 
 # -- convolution --------------------------------------------------------------
 #
-# _correlate computes every forward and input gradient of a square kernel
-# (Cout, Cin, K, K), _conv_weight_grad every weight gradient. An input
-# gradient, and so a transposed conv, correlates g placed s apart in a zero
-# buffer padded by d*(K-1) - p with _flip(w) (Dumoulin & Visin 2016,
-# arXiv:1603.07285, sec. 4): conv2d's backward runs _correlate(g, _flip(w),
-# d*(K-1) - p, s, 1, d), and conv_transpose2d swaps its two correlations.
+# _correlate computes every forward and conv2d's input gradient of a square
+# kernel (Cout, Cin, K, K), _conv_weight_grad conv2d's weight gradient. An
+# input gradient, and so a transposed conv's forward, correlates g placed s
+# apart in a zero buffer padded by d*(K-1) - p with _flip(w) (Dumoulin &
+# Visin 2016, arXiv:1603.07285, sec. 4). A transposed conv's backward is
+# conv2d's forward and weight gradient with x and g swapped: one im2col
+# matrix of g, multiplied by w and by x.
 #
 # A 1x1 kernel without padding is a channel matmul over the input read s
 # apart. Otherwise the input is placed in a channel-major zero buffer
@@ -365,16 +366,11 @@ def conv_transpose2d(x, weight, bias=None, stride=1, padding=0):
     y = _correlate(x.data, _flip(wd), kh - 1 - padding, stride, 1, 1, out_h, out_w)
 
     def grads(g):
-        if stride > 1 and (kh > 1 or padding > 0):
-            # both strided gradients multiply the same im2col columns of g; an
-            # unpadded 1x1 kernel reads g without a buffer and takes the path below
-            cols = _im2col(_place(g, out_h + 2 * padding, out_w + 2 * padding, padding),
-                           kh, stride, 1, h, w)
-            g_x = np.matmul(wd.reshape(cin, -1), cols).reshape(cin, -1, h, w)
-            g_w = np.matmul(x.data.transpose(1, 0, 2, 3).reshape(cin, -1), cols.T)
-            return np.ascontiguousarray(g_x.transpose(1, 0, 2, 3)), g_w.reshape(wd.shape)
-        g_x = _correlate(g, wd, padding, 1, stride, 1, h, w)
-        return g_x, _conv_weight_grad(x.data, g, stride, padding, 1, wd.shape)
+        cols = _im2col(_place(g, out_h + 2 * padding, out_w + 2 * padding, padding),
+                       kh, stride, 1, h, w)
+        g_x = np.matmul(wd.reshape(cin, -1), cols).reshape(cin, -1, h, w)
+        g_w = np.matmul(x.data.transpose(1, 0, 2, 3).reshape(cin, -1), cols.T)
+        return np.ascontiguousarray(g_x.transpose(1, 0, 2, 3)), g_w.reshape(wd.shape)
 
     return _record_conv(y, x, weight, bias, grads)
 

@@ -73,11 +73,12 @@ def _check_samples(dataset, size):
 
 
 def check_output(what, *paths):
-    """Raise UsageError if a file in ``paths`` could not be written: it is a
-    directory, or its directory does not exist."""
+    """Raise UsageError if a file in ``paths`` could not be written: it exists
+    and is not a regular file (a directory, a FIFO), or its directory does
+    not exist."""
     for path in paths:
-        if os.path.isdir(path):
-            raise UsageError(f"{what} {path!r} is a directory")
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise UsageError(f"{what} {path!r} is not a regular file")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise UsageError(f"{what} {path!r} is in a directory that does not exist")
 
@@ -96,9 +97,9 @@ def train(cfg, train_set, val_set=None, out_path=None, log_path=None):
     given, the best-validation-DSC checkpoint at out_path + ".best". A
     NumericsError aborts after re-saving the parameters from the last
     completed step. Before the model is built, an out_path or log_path that
-    is a directory, or whose directory is missing, raises UsageError, and an
-    image or mask in either set that is not input_size square or not finite
-    raises FormatError.
+    exists and is not a regular file, or whose directory is missing, raises
+    UsageError, and an image or mask in either set that is not input_size
+    square or not finite raises FormatError.
     """
     for what, path in (("out_path", out_path), ("log_path", log_path)):
         if path:

@@ -1,5 +1,6 @@
 """Command-line surface via click's test runner."""
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
@@ -12,6 +13,22 @@ from gmsrfnet.errors import ConfigError, DataError, UsageError
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+@pytest.fixture
+def make_fifo():
+    """Makes FIFOs whose read ends stay open until the test ends, so that a
+    writer let through writes into the pipe and the test fails instead of
+    blocking."""
+    readers = []
+
+    def make(path):
+        os.mkfifo(path)
+        readers.append(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+
+    yield make
+    for fd in readers:
+        os.close(fd)
 
 
 def write_train_config(path, data_size=32):
@@ -157,13 +174,15 @@ class TestTrainEvalPredict:
         ("outdir", None),
         ("nodir/m.ckpt", None),
         ("m.ckpt", "nodir/log.csv"),
+        ("m.ckpt", "fifo"),
     ])
     def test_unwritable_output_is_a_usage_error_before_training(self, workspace, runner,
-                                                                 out, log):
+                                                                 make_fifo, out, log):
         # the outputs are checked before the folder is read, so a manifest
         # that is not JSON does not hide the UsageError
         base, data_dir, cfg_path = workspace
         (base / "outdir").mkdir()
+        make_fifo(base / "fifo")
         broken = base / "broken"
         for sub in ("images", "masks"):
             (broken / sub).mkdir(parents=True)
@@ -178,9 +197,13 @@ class TestTrainEvalPredict:
             assert isinstance(result.exception, UsageError), (folder, result.exception)
             assert sorted(base.rglob("*")) == before
 
-    @pytest.mark.parametrize("command", ["eval", "report", "predict"])
+    # a FIFO in place of an output is as unwritable as a missing directory:
+    # opening it for writing blocks until a reader comes
+    @pytest.mark.parametrize("command, fifo", [
+        pytest.param(command, fifo, id=command + "-fifo" * fifo)
+        for fifo in (False, True) for command in ("eval", "report", "predict")])
     def test_missing_output_directory_is_a_usage_error_before_the_work(self, workspace, runner,
-                                                                       command):
+                                                                       make_fifo, command, fifo):
         base, data_dir, cfg_path = workspace
         ckpt, img = base / "model.ckpt", base / "probe.ppm"
         result = runner.invoke(main, [
@@ -188,8 +211,10 @@ class TestTrainEvalPredict:
         ])
         assert result.exit_code == 0, result.output
         write_pnm(generate_center(default_center_a(seed=33), 1, 32).samples[0].image, str(img))
+        out = str(base / "out") if fifo else str(base / "nodir" / "out")
+        if fifo:  # the report's CSV, or the predicted mask
+            make_fifo(out if command == "predict" else out + ".csv")
         before = sorted(base.rglob("*"))
-        out = str(base / "nodir" / "out")
         args = {
             "eval": ["--ckpt", str(ckpt), "--data", str(data_dir), "--report", out],
             "report": ["--ckpt-a", str(ckpt), "--ckpt-b", str(ckpt), "--data-a", str(data_dir),

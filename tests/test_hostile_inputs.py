@@ -1,6 +1,7 @@
 """Property tests: malformed configs, manifests, PNM files and checkpoint
 headers give a value or a GmsrfError subclass, never a bare Python or numpy
 exception."""
+import contextlib
 import dataclasses
 import json
 import math
@@ -76,6 +77,24 @@ def value_or_error(parse, arg, cls, error):
     assert isinstance(result, cls)
 
 
+@contextlib.contextmanager
+def fifo_with_writer(path):
+    """A FIFO at ``path`` that a writer thread opens. A reader that opens the
+    FIFO meets this writer and reads end of file instead of blocking for
+    ever; the read end opened at the end lets the writer finish if no reader
+    came."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=lambda: open(path, "wb").close())
+    writer.start()
+    try:
+        yield path
+    finally:
+        reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        writer.join(timeout=10)
+        os.close(reader)
+    assert not writer.is_alive()
+
+
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 CONFIGS = (ModelConfig, TrainConfig, CenterSpec)
 
@@ -138,6 +157,25 @@ class TestConfigs:
         for cls in CONFIGS:
             with pytest.raises(ConfigError):
                 cls.from_json(path)
+
+    @pytest.mark.parametrize("cls", CONFIGS)
+    def test_a_fifo_in_place_of_the_file(self, tmp_path, cls):
+        with fifo_with_writer(tmp_path / "train.json") as path:
+            with pytest.raises(ConfigError, match="not a regular file"):
+                cls.from_json(path)
+
+    @pytest.mark.parametrize("command, option", [("train", "--config"),
+                                                 ("generate-data", "--spec")])
+    def test_a_fifo_given_to_the_cli(self, tmp_path, command, option):
+        # click's exists=True, dir_okay=False lets a FIFO through
+        data = tmp_path / "data"
+        data.mkdir()
+        extra = {"train": ["--data", str(data), "--out", str(tmp_path / "m.ckpt")],
+                 "generate-data": ["--n", "2", "--out", str(data)]}[command]
+        with fifo_with_writer(tmp_path / "config.json") as path:
+            result = CliRunner().invoke(main, [command, option, str(path)] + extra)
+        assert isinstance(result.exception, ConfigError), result.exception
+        assert "not a regular file" in str(result.exception)
 
     @pytest.mark.parametrize("cls", CONFIGS, ids=lambda c: c.__name__)
     def test_one_config_mechanism(self, cls):
@@ -293,19 +331,9 @@ class TestFolderEntries:
         save_dataset(generate_center(default_center_a(), 2, 16), tmp_path)
         victim = tmp_path / "images" / "center-a_00000.ppm"
         victim.unlink()
-        os.mkfifo(victim)
-        # a reader that opens the FIFO meets this writer and reads end of file
-        # instead of blocking for ever; the read end the test holds at the
-        # end lets the writer finish if no reader came
-        writer = threading.Thread(target=lambda: open(victim, "wb").close())
-        writer.start()
-        try:
+        with fifo_with_writer(victim):
             with pytest.raises(DataError, match=re.escape(str(victim))):
                 load_folder(tmp_path, 16)
-        finally:
-            reader = os.open(victim, os.O_RDONLY | os.O_NONBLOCK)
-            writer.join()
-            os.close(reader)
 
 
 @pytest.fixture(scope="module")
@@ -411,6 +439,15 @@ class TestCheckpointHeader:
         finally:
             tracemalloc.stop()
         assert peak < len(micro_checkpoint) + 2**20
+
+    def test_a_fifo_in_place_of_the_checkpoint(self, tmp_path):
+        with fifo_with_writer(tmp_path / "m.ckpt") as path:
+            with pytest.raises(FormatError, match="not a regular file"):
+                load_checkpoint(path)
+
+    def test_a_missing_checkpoint_is_a_format_error(self, tmp_path):
+        with pytest.raises(FormatError, match="not a regular file"):
+            load_checkpoint(tmp_path / "m.ckpt")
 
     def test_short_payload_refused_before_allocation(self, tmp_path):
         # the count and layout are those a ~61M-value model writes; the payload holds 4 bytes

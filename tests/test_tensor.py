@@ -269,16 +269,21 @@ class TestConvTranspose2d:
         expected = reference.conv_transpose2d_loops(x.data, w.data, b.data.ravel(), stride, padding)
         np.testing.assert_allclose(y.data, expected, rtol=1e-5, atol=1e-5)
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 0), (2, 1), (3, 1)])
-    def test_input_gradient_is_conv2d(self, stride, padding):
+    @pytest.mark.parametrize("stride,padding,k", [(1, 0, 3), (2, 0, 3), (2, 1, 3), (3, 1, 3),
+                                                  (2, 0, 1)],
+                             ids=["1-0", "2-0", "2-1", "3-1", "2-0-1x1"])
+    def test_input_gradient_is_conv2d(self, stride, padding, k):
+        # and the weight gradient is conv2d's, with x and g swapped
         rng = np.random.default_rng(17 + stride + 10 * padding)
         x = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True, dtype=np.float64)
-        w = Tensor(rng.normal(size=(3, 2, 3, 3)), dtype=np.float64)
+        w = Tensor(rng.normal(size=(3, 2, k, k)), requires_grad=True, dtype=np.float64)
         y = T.conv_transpose2d(x, w, stride=stride, padding=padding)
         g = rng.normal(size=y.shape)
         backward(reference.sum_loss(y, g))
         expected = reference.conv2d_loops(g, w.data, stride=stride, padding=padding)
         np.testing.assert_allclose(x.grad, expected, rtol=1e-12, atol=1e-12)
+        expected_w = reference.conv2d_weight_grad_loops(g, x.data, w.shape, stride, padding)
+        np.testing.assert_allclose(w.grad, expected_w, rtol=1e-12, atol=1e-12)
 
     def test_adjoint_identity_float32(self):
         # geometry where (H + 2p - K) divides the stride, so sizes round-trip
