@@ -7,9 +7,10 @@ import sys
 import click
 
 from .data import CenterSpec, generate_center, load_folder, save_dataset, split_dataset
+from .errors import check_output
 from .gradchecks import run_suite
 from .network import load_checkpoint
-from .train import TrainConfig, check_output, evaluate, generalization_report, predict, train
+from .train import TrainConfig, evaluate, generalization_report, predict, train
 
 
 @click.group()
@@ -49,9 +50,7 @@ def generate_data_cmd(spec_path, n, out_dir, size, split_ratios, split_seed):
 def train_cmd(config_path, data_dir, out_path, log_path):
     """Train on the train split of a dataset directory."""
     cfg = TrainConfig.from_json(config_path)
-    check_output("out_path", out_path)
-    if log_path:
-        check_output("log_path", log_path)
+    check_output((config_path,), out_path=out_path, log_path=log_path)
     dataset = load_folder(data_dir, cfg.model.input_size)
     result = train(cfg, dataset.split("train"), dataset.subset("val"), out_path, log_path)
     last = result.epoch_rows[-1]
@@ -69,7 +68,7 @@ def train_cmd(config_path, data_dir, out_path, log_path):
               help="Which manifest split to evaluate; 'all' for everything.")
 def eval_cmd(ckpt, data_dir, report_base, split):
     """Evaluate a checkpoint, writing per-image metrics and means."""
-    check_output("out_base", report_base + ".csv", report_base + ".json")
+    check_output((ckpt,), out_csv=report_base + ".csv", out_json=report_base + ".json")
     model = load_checkpoint(ckpt)
     dataset = load_folder(data_dir, model.config.input_size)
     if split != "all":
@@ -98,7 +97,7 @@ def predict_cmd(ckpt, image_path, out_path):
 @click.option("--out", "out_base", type=click.Path(), required=True)
 def report_cmd(ckpt_a, ckpt_b, data_a, data_b, out_base):
     """Cross-center generalization table (2 models x source/unseen metrics)."""
-    check_output("out_base", out_base + ".csv", out_base + ".json")
+    check_output((ckpt_a, ckpt_b), out_csv=out_base + ".csv", out_json=out_base + ".json")
     model_a = load_checkpoint(ckpt_a)
     model_b = load_checkpoint(ckpt_b)
     ds_a = load_folder(data_a, model_a.config.input_size)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Config, ConfigError, DataError, FormatError, check_fields
+from .errors import Config, ConfigError, DataError, FormatError, check_fields, open_file
 from .tensor import interp_matrix
 
 
@@ -276,11 +276,8 @@ def _read_pnm_header(blob, path):
 
 def read_pnm(path):
     """Read a P6 image as (3, H, W) float in [0, 1] or a P5 mask as (1, H, W)
-    binarized at 128. A path that is not a regular file (a directory, a
-    FIFO) raises DataError before it is opened."""
-    if not os.path.isfile(path):
-        raise DataError(f"{path}: is not a regular file")
-    with open(path, "rb") as f:
+    binarized at 128. A path that open_file refuses raises DataError."""
+    with open_file(path, "rb", DataError) as f:
         blob = f.read()
     magic, width, height, pos = _read_pnm_header(blob, path)
     channels = 3 if magic == b"P6" else 1
@@ -298,17 +295,14 @@ def read_pnm(path):
 def write_pnm(x, path):
     """Write float (3, H, W) data in [0, 1] as P6 or (1, H, W) as P5, maxval
     255: each value is stored as round(clip(v, 0, 1) * 255). A path that
-    exists and is not a regular file (a directory, a FIFO) raises DataError
-    before it is opened."""
+    open_file refuses raises DataError."""
     arr = np.asarray(x)
     if arr.ndim != 3 or arr.shape[0] not in (1, 3):
         raise FormatError(f"write_pnm expects (1|3, H, W) data, got {arr.shape}")
-    if os.path.exists(path) and not os.path.isfile(path):
-        raise DataError(f"{path}: is not a regular file")
     arr = np.round(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
     channels, height, width = arr.shape
     magic = b"P6" if channels == 3 else b"P5"
-    with open(path, "wb") as f:
+    with open_file(path, "wb", DataError) as f:
         f.write(magic + b"\n%d %d\n255\n" % (width, height))
         f.write(arr.transpose(1, 2, 0).tobytes())
 
@@ -395,14 +389,14 @@ def augment(sample, rng):
 
 def save_dataset(dataset, out_dir):
     """Write images/*.ppm, masks/*.pgm, and a dataset.json manifest; an
-    entry that exists and is not a regular file, or an images/ or masks/
-    that is not a directory, raises DataError."""
+    entry that open_file refuses, or an out_dir, images/ or masks/ that is
+    not a directory, raises DataError."""
     img_dir = os.path.join(out_dir, "images")
     mask_dir = os.path.join(out_dir, "masks")
-    for folder in (img_dir, mask_dir):
+    for folder in (out_dir, img_dir, mask_dir):
         try:
             os.makedirs(folder, exist_ok=True)
-        except FileExistsError as e:
+        except (FileExistsError, NotADirectoryError) as e:
             raise DataError(f"{folder}: is not a directory") from e
     for s in dataset.samples:
         write_pnm(s.image, os.path.join(img_dir, s.id + ".ppm"))
@@ -415,20 +409,15 @@ def save_dataset(dataset, out_dir):
             for s in dataset.samples
         ],
     }
-    manifest_path = os.path.join(out_dir, "dataset.json")
-    if os.path.exists(manifest_path) and not os.path.isfile(manifest_path):
-        raise DataError(f"{manifest_path}: is not a regular file")
-    with open(manifest_path, "w") as f:
+    with open_file(os.path.join(out_dir, "dataset.json"), "w", DataError) as f:
         json.dump(manifest, f, indent=2)
 
 
 def _read_manifest(path):
     """Center id, spec and per-sample entries by id of a dataset.json in the
-    layout save_dataset writes; DataError if it is not a regular file,
+    layout save_dataset writes; DataError if open_file refuses the path,
     FormatError for anything else."""
-    if not os.path.isfile(path):
-        raise DataError(f"{path}: is not a regular file")
-    with open(path) as f:
+    with open_file(path, "r", DataError) as f:
         try:
             manifest = json.load(f)
         except (ValueError, RecursionError) as e:

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the base class whose
-checks turn a JSON file or object into a config or a ConfigError."""
+"""Exception types shared across the package, the one rule for every path
+it opens, and the base class that turns JSON into a config or ConfigError."""
 import dataclasses
 import json
 import math
@@ -42,6 +42,35 @@ class DataError(GmsrfError):
     """Dataset inconsistency (missing pairs, bad layout)."""
 
 
+def _refused(path, mode):
+    """The path rule: a path to read must be a regular file, and a path to
+    write absent or a regular file, so a directory or a FIFO blocks nothing."""
+    return not os.path.isfile(path) and ("r" in mode or os.path.exists(path))
+
+
+def open_file(path, mode, error, **kwargs):
+    """``open(path, mode, **kwargs)`` under the path rule, else ``error``
+    naming the path; every file the package opens is opened here."""
+    if _refused(path, mode):
+        raise error(f"{path}: is not a regular file")
+    return open(path, mode, **kwargs)
+
+
+def check_output(inputs=(), **outputs):
+    """Raise UsageError before any work if a named output path (None is
+    skipped) breaks the path rule, is in a missing directory, or is the same
+    file as another output or one of the ``inputs``."""
+    seen = dict.fromkeys(map(os.path.realpath, inputs), "an input")
+    for what, path in outputs.items():
+        if not path:
+            continue
+        if _refused(path, "w") or not os.path.isdir(os.path.dirname(path) or "."):
+            raise UsageError(f"{what} {path!r} is not a regular file in an existing directory")
+        other = seen.setdefault(os.path.realpath(path), what)
+        if other != what:
+            raise UsageError(f"{what} {path!r} is the same file as {other}")
+
+
 class Config:
     """Base for the config dataclasses. Construction runs the subclass's
     ``validate``, which raises ConfigError for a bad value, and every config
@@ -67,12 +96,9 @@ class Config:
 
     @classmethod
     def from_json(cls, path):
-        """The config in the JSON file at ``path``; a path that is not a
-        regular file, or a file that is not a JSON document, raises
-        ConfigError, as a bad config does."""
-        if not os.path.isfile(path):
-            raise ConfigError(f"{path}: is not a regular file")
-        with open(path) as f:
+        """The config in the JSON file at ``path``; a path open_file refuses
+        or a file that is not JSON raises ConfigError, as a bad config does."""
+        with open_file(path, "r", ConfigError) as f:
             try:
                 d = json.load(f)
             except (ValueError, RecursionError) as e:

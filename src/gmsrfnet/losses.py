@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, UsageError, open_file
 from .tensor import (
     Tensor,
     add,
@@ -137,7 +137,7 @@ class MetricReport:
                 for i, key in enumerate(MEAN_KEYS)}
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as f:
+        with open_file(path, "w", UsageError, newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["id", *Metrics._fields])
             for sample_id, r in zip(self.ids, self.rows):
@@ -149,7 +149,7 @@ class MetricReport:
             "means": self.means,
             "rows": [{"id": sample_id, **r._asdict()} for sample_id, r in zip(self.ids, self.rows)],
         }
-        with open(path, "w") as f:
+        with open_file(path, "w", UsageError) as f:
             json.dump(doc, f, indent=2)
 
 

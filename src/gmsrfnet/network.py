@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import Arena, ConvBlock, Layer, ResidualStage, RfbBlock
-from .errors import Config, ConfigError, CorruptionError, FormatError, ShapeError, check_fields
+from .errors import (Config, ConfigError, CorruptionError, FormatError, ShapeError, check_fields,
+                     check_output, open_file)
 from .gmsrf import GmsrfModule
 from .tensor import concat_channels, resize_bilinear, sigmoid
 
@@ -194,6 +195,7 @@ def _layout(names, shapes):
 
 
 def save_checkpoint(model, path):
+    check_output(path=path)  # before the temporary file is made
     arena = model.arena
     payload = b"".join(np.ascontiguousarray(a, "<f4").tobytes() for a in (arena.params, arena.buffers))
     header = json.dumps({"config": model.config.to_dict(), "count": len(payload) // 4,
@@ -248,11 +250,8 @@ def load_checkpoint(path):
     or slice, and a config larger than the payload fails before its model
     is. The layer tree is built on views of the payload, and the arena's
     params and buffers are one copy each of the payload's two blocks. A
-    path that is not a regular file (missing, a directory, a FIFO) raises
-    FormatError before it is opened."""
-    if not os.path.isfile(path):
-        raise FormatError(f"{path}: is not a regular file")
-    with open(path, "rb") as f:
+    path that open_file refuses (a missing one too) raises FormatError."""
+    with open_file(path, "rb", FormatError) as f:
         blob = f.read()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic {blob[:6]!r}")

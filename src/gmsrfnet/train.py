@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import augment, read_pnm, resize_image, resize_mask, write_pnm
-from .errors import Config, ConfigError, FormatError, NumericsError, UsageError, check_fields
+from .errors import (Config, ConfigError, FormatError, NumericsError, UsageError, check_fields,
+                     check_output, open_file)
 from .losses import MEAN_KEYS, THRESHOLD, build_report, total_loss
 from .network import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from .optim import Adam
@@ -72,17 +73,6 @@ def _check_samples(dataset, size):
                 raise FormatError(f"sample {s.id}: {what} holds non-finite values")
 
 
-def check_output(what, *paths):
-    """Raise UsageError if a file in ``paths`` could not be written: it exists
-    and is not a regular file (a directory, a FIFO), or its directory does
-    not exist."""
-    for path in paths:
-        if os.path.exists(path) and not os.path.isfile(path):
-            raise UsageError(f"{what} {path!r} is not a regular file")
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise UsageError(f"{what} {path!r} is in a directory that does not exist")
-
-
 def _stack_batch(samples):
     images = np.stack([s.image for s in samples]).astype(np.float32)
     masks = np.stack([s.mask for s in samples]).astype(np.float32)
@@ -96,14 +86,13 @@ def train(cfg, train_set, val_set=None, out_path=None, log_path=None):
     Saves the final checkpoint at out_path and, when a non-empty val_set is
     given, the best-validation-DSC checkpoint at out_path + ".best". A
     NumericsError aborts after re-saving the parameters from the last
-    completed step. Before the model is built, an out_path or log_path that
-    exists and is not a regular file, or whose directory is missing, raises
-    UsageError, and an image or mask in either set that is not input_size
-    square or not finite raises FormatError.
+    completed step. Before the model is built, an output that check_output
+    refuses raises UsageError, and an image or mask in either set that is
+    not input_size square or not finite raises FormatError.
     """
-    for what, path in (("out_path", out_path), ("log_path", log_path)):
-        if path:
-            check_output(what, path)
+    validate = val_set is not None and len(val_set) > 0
+    best_path = out_path + ".best" if out_path and validate else None
+    check_output(out_path=out_path, log_path=log_path, best_path=best_path)
     if len(train_set) == 0:
         raise ConfigError("training set is empty")
     for dataset in (train_set, val_set or ()):
@@ -111,8 +100,6 @@ def train(cfg, train_set, val_set=None, out_path=None, log_path=None):
 
     model = build_model(cfg.model)
     adam = Adam(model.arena, cfg.lr)
-    validate = val_set is not None and len(val_set) > 0
-    best_path = out_path + ".best" if out_path and validate else None
 
     epoch_rows = []
     step_losses = []
@@ -165,7 +152,7 @@ def train(cfg, train_set, val_set=None, out_path=None, log_path=None):
 
 def write_log(rows, path):
     fields = ["epoch", "train_loss"] + (["val_dsc"] if any("val_dsc" in r for r in rows) else [])
-    with open(path, "w", newline="") as f:
+    with open_file(path, "w", UsageError, newline="") as f:
         writer = csv.DictWriter(f, fieldnames=fields)
         writer.writeheader()
         for r in rows:
@@ -198,7 +185,7 @@ def evaluate(checkpoint, dataset, out_base=None, label=""):
     write <out_base>.csv and <out_base>.json. An output that could not be
     written raises UsageError before the checkpoint is loaded."""
     if out_base:
-        check_output("out_base", out_base + ".csv", out_base + ".json")
+        check_output(out_csv=out_base + ".csv", out_json=out_base + ".json")
     model = load_checkpoint(checkpoint) if isinstance(checkpoint, (str, os.PathLike)) else checkpoint
     _check_samples(dataset, model.config.input_size)
     report = evaluate_model(model, dataset, label or dataset.center_id)
@@ -210,9 +197,9 @@ def evaluate(checkpoint, dataset, out_base=None, label=""):
 
 def predict(checkpoint_path, image_path, out_mask_path):
     """Segment one PPM image; writes a {0, 255} P5 mask at the input's own
-    resolution. An out_mask_path that could not be written raises
-    UsageError before the checkpoint is loaded."""
-    check_output("out_mask_path", out_mask_path)
+    resolution. An out_mask_path that check_output refuses, as it does either
+    input, raises UsageError before the checkpoint is loaded."""
+    check_output((checkpoint_path, image_path), out_mask_path=out_mask_path)
     model = load_checkpoint(checkpoint_path)
     size = model.config.input_size
     image = read_pnm(image_path)
@@ -237,7 +224,7 @@ def generalization_report(model_a, model_b, data_a, data_b, out_base=None):
     with the source-minus-unseen DSC gap. An output that could not be
     written raises UsageError before any evaluation."""
     if out_base:
-        check_output("out_base", out_base + ".csv", out_base + ".json")
+        check_output(out_csv=out_base + ".csv", out_json=out_base + ".json")
     rows = []
     for name, model, source, unseen in (
         ("model-a", model_a, data_a.split("test"), data_b),
@@ -253,11 +240,11 @@ def generalization_report(model_a, model_b, data_a, data_b, out_base=None):
 
     if out_base:
         fields = list(rows[0].keys())
-        with open(out_base + ".csv", "w", newline="") as f:
+        with open_file(out_base + ".csv", "w", UsageError, newline="") as f:
             writer = csv.DictWriter(f, fieldnames=fields)
             writer.writeheader()
             for r in rows:
                 writer.writerow({k: (f"{v:.6f}" if isinstance(v, float) else v) for k, v in r.items()})
-        with open(out_base + ".json", "w") as f:
+        with open_file(out_base + ".json", "w", UsageError) as f:
             json.dump({"rows": rows}, f, indent=2)
     return rows

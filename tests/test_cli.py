@@ -225,6 +225,33 @@ class TestTrainEvalPredict:
         assert isinstance(result.exception, UsageError), result.exception
         assert sorted(base.rglob("*")) == before
 
+    # no command writes over a file it reads, or over another of its outputs
+    @pytest.mark.parametrize("case", ["predict-image", "predict-ckpt", "eval-ckpt", "report-ckpt",
+                                      "train-config", "train-log"])
+    def test_output_onto_an_input_is_a_usage_error_before_the_work(self, workspace, runner, case):
+        base, data_dir, cfg_path = workspace
+        ckpt, img = base / "m.json", base / "probe.ppm"
+        result = runner.invoke(main, [
+            "train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(ckpt),
+        ])
+        assert result.exit_code == 0, result.output
+        write_pnm(generate_center(default_center_a(seed=33), 1, 32).samples[0].image, str(img))
+        train = ["train", "--config", cfg_path, "--data", data_dir]
+        args = {
+            "predict-image": ["predict", "--ckpt", ckpt, "--image", img, "--out", img],
+            "predict-ckpt": ["predict", "--ckpt", ckpt, "--image", img, "--out", ckpt],
+            "eval-ckpt": ["eval", "--ckpt", ckpt, "--data", data_dir, "--report", base / "m"],
+            "report-ckpt": ["report", "--ckpt-a", ckpt, "--ckpt-b", ckpt, "--data-a", data_dir,
+                            "--data-b", data_dir, "--out", base / "m"],
+            "train-config": train + ["--out", cfg_path],
+            "train-log": train + ["--out", base / "n.ckpt", "--log", base / "n.ckpt"],
+        }[case]
+        before = {p: p.read_bytes() for p in base.rglob("*") if p.is_file()}
+        result = runner.invoke(main, [str(a) for a in args])
+        assert isinstance(result.exception, UsageError), result.exception
+        assert "same file" in str(result.exception)
+        assert {p: p.read_bytes() for p in base.rglob("*") if p.is_file()} == before
+
     @pytest.mark.parametrize("command", ["eval", "report"])
     def test_output_checked_before_the_checkpoint_is_read(self, runner, tmp_path, command):
         # a bad-magic checkpoint would raise FormatError if it were loaded first

@@ -320,12 +320,13 @@ class TestFolderEntries:
         with pytest.raises(DataError, match=re.escape(str(victim))):
             save_dataset(generate_center(default_center_a(), 2, 16), tmp_path)
 
-    @pytest.mark.parametrize("folder", ["images", "masks"])
+    @pytest.mark.parametrize("folder", ["images", "masks", pytest.param("", id="out")])
     def test_save_refuses_a_file_in_place_of_a_folder(self, tmp_path, folder):
-        victim = tmp_path / folder
+        victim = tmp_path / "out" / folder
+        victim.parent.mkdir(exist_ok=True)
         victim.write_bytes(b"")
         with pytest.raises(DataError, match=re.escape(str(victim))):
-            save_dataset(generate_center(default_center_a(), 2, 16), tmp_path)
+            save_dataset(generate_center(default_center_a(), 2, 16), tmp_path / "out")
 
     def test_a_fifo_in_place_of_an_image(self, tmp_path):
         save_dataset(generate_center(default_center_a(), 2, 16), tmp_path)

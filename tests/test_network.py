@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import tracemalloc
 import weakref
 import zlib
@@ -11,7 +12,7 @@ import zlib
 import numpy as np
 import pytest
 
-from gmsrfnet.errors import ConfigError, CorruptionError, FormatError, ShapeError
+from gmsrfnet.errors import ConfigError, CorruptionError, FormatError, ShapeError, UsageError
 from gmsrfnet.gradchecks import MICRO_CONFIG, MODEL_TOL, model_error
 from gmsrfnet.losses import total_loss
 from gmsrfnet.network import (
@@ -432,6 +433,24 @@ MALFORMED_CHECKPOINTS = [
 
 
 class TestCheckpoint:
+    @pytest.mark.parametrize("target", ["directory", "fifo", "missing-directory"])
+    def test_unwritable_path_is_a_usage_error_before_the_temporary_file(self, tmp_path, target):
+        path = tmp_path / ("nodir/m.ckpt" if target == "missing-directory" else "m.ckpt")
+        if target == "directory":
+            path.mkdir()
+        if target == "fifo":
+            os.mkfifo(path)
+        # an open read end lets a writer let through write instead of block
+        reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK) if target == "fifo" else None
+        before = sorted(tmp_path.rglob("*"))
+        try:
+            with pytest.raises(UsageError, match=re.escape(repr(str(path)))):
+                save_checkpoint(build_model(MICRO), str(path))
+        finally:
+            if reader is not None:
+                os.close(reader)
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_save_load_save_byte_identical(self, tmp_path):
         model = build_model(MICRO)
         p1 = tmp_path / "a.ckpt"

@@ -958,3 +958,20 @@ class TestPublicSurface:
                                     for d in node.decorator_list)):
                     uncalled.append(f"{path.stem}.{node.name}")
         assert sorted(uncalled) == []
+
+    def test_every_file_is_opened_through_open_file(self):
+        # the path rule is stated once, in errors.open_file: no reader or
+        # writer opens a file or tests for a regular file on its own
+        package = Path(T.__file__).parent
+        opens = []
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            inside = {id(node) for f in tree.body if getattr(f, "name", None) == "open_file"
+                      for node in ast.walk(f)} if path.name == "errors.py" else set()
+            opens += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and id(node) not in inside
+                      and getattr(node.func, "id", getattr(node.func, "attr", None))
+                      in ("open", "read_text", "read_bytes", "write_text", "write_bytes")]
+            if path.name != "errors.py":
+                assert "isfile" not in path.read_text(), path.name
+        assert opens == []

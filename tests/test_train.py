@@ -1,6 +1,7 @@
 """Training loop, evaluation, prediction, and the generalization report."""
 import hashlib
 import importlib
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from gmsrfnet.data import (
     split_dataset,
     write_pnm,
 )
-from gmsrfnet.errors import FormatError, NumericsError
+from gmsrfnet.errors import FormatError, NumericsError, UsageError
 from gmsrfnet.losses import THRESHOLD, build_report
 from gmsrfnet.network import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from gmsrfnet.optim import Adam
@@ -117,6 +118,34 @@ class TestTrainLoop:
         assert result.best_path is None
         assert (tmp_path / "m.ckpt").exists()
         assert not (tmp_path / "m.ckpt.best").exists()
+
+    def test_a_directory_at_the_best_checkpoint_is_a_usage_error_before_training(
+            self, tiny_data, tmp_path, monkeypatch):
+        train_set, val_set, _ = tiny_data
+        (tmp_path / "m.ckpt.best").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        monkeypatch.setattr(importlib.import_module("gmsrfnet.train"), "build_model", None)
+        with pytest.raises(UsageError, match="best_path"):
+            train(tiny_config(epochs=1), train_set, val_set, str(tmp_path / "m.ckpt"))
+        assert sorted(tmp_path.rglob("*")) == before
+
+    # out_path's .best is written only when there is a validation set
+    @pytest.mark.parametrize("log", [
+        pytest.param("m.ckpt", id="out"),
+        pytest.param("m.ckpt.best", id="best"),
+        pytest.param("./m.ckpt", id="dot"),
+        pytest.param("link", id="symlink"),
+    ])
+    def test_outputs_that_are_one_file_are_a_usage_error_before_training(
+            self, tiny_data, tmp_path, monkeypatch, log):
+        train_set, val_set, _ = tiny_data
+        os.symlink(tmp_path / "m.ckpt", tmp_path / "link")
+        before = sorted(tmp_path.rglob("*"))
+        monkeypatch.setattr(importlib.import_module("gmsrfnet.train"), "build_model", None)
+        with pytest.raises(UsageError, match="same file"):
+            train(tiny_config(epochs=1), train_set, val_set, str(tmp_path / "m.ckpt"),
+                  os.path.join(str(tmp_path), log))
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_ten_step_determinism_byte_identical(self, tiny_data, tmp_path):
         train_set, _, _ = tiny_data
